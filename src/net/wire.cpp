@@ -210,8 +210,11 @@ obs::HistogramSnapshot decode_histogram(WireReader* r) {
 void encode_stats_snapshot(const serve::StatsSnapshot& s, WireWriter* w) {
   w->u64(s.lookups);
   w->u64(s.batches);
-  w->u64(s.cache_hits);
-  w->u64(s.cache_misses);
+  // Two reserved u64 slots (once the removed row cache's cache_hits and
+  // cache_misses), kept so the v3 layout is unchanged: written as 0,
+  // skipped on read.
+  w->u64(0);
+  w->u64(0);
   w->u64(s.oov_fallbacks);
   w->f64(s.elapsed_seconds);
   w->f64(s.qps);
@@ -226,8 +229,8 @@ serve::StatsSnapshot decode_stats_snapshot(WireReader* r) {
   serve::StatsSnapshot s;
   s.lookups = r->u64();
   s.batches = r->u64();
-  s.cache_hits = r->u64();
-  s.cache_misses = r->u64();
+  r->u64();  // reserved
+  r->u64();  // reserved
   s.oov_fallbacks = r->u64();
   s.elapsed_seconds = r->f64();
   s.qps = r->f64();

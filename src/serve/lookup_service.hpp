@@ -1,19 +1,14 @@
 // Thread-safe batched embedding lookup over an EmbeddingStore.
 //
 // The hot path — resolve the live snapshot, gather rows into the caller's
-// output buffer — takes no global lock: the snapshot is an immutable
-// shared_ptr and the only synchronization is a fixed pool of 16 cache
-// shards, each a mutex-guarded LRU keyed by (snapshot epoch, row) — rows
-// spread over the pool by key, independently of the snapshot's own storage
-// sharding. Batches take each shard mutex at most twice per request batch
-// (one probe pass, one insert pass) and dequantize all misses in a single
-// block between them. The cache holds *dequantized* vectors, so
-// for quantized snapshots a popular row pays the unpack cost once per swap
-// instead of once per request (the same motivation as util/cache's
-// compute-once-serve-many artifact discipline, applied at row granularity).
-// Cache entries are keyed by (snapshot epoch, row), so a hot swap can never
-// serve a stale generation — old entries age out through normal LRU
-// eviction.
+// output buffer — holds the store's mutex only to copy the live pointer:
+// the snapshot is an immutable shared_ptr, so a hot swap can never serve a
+// stale generation (a batch reads the snapshot it resolved, start to
+// finish). Each row is
+// copied (fp32) or decoded (int8, PQ) straight into the result; a
+// dequantized-row LRU cache in front of the decode measured slower than
+// the decode itself at every dim, encoding and thread count, so there is
+// none.
 //
 // Requests may also carry word *strings*; ids outside the live vocabulary
 // fall back to subword synthesis (embed/subword hashed n-grams) when the
@@ -21,11 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/embedding_store.hpp"
@@ -38,11 +30,6 @@ struct KeyLoadRecorder;
 namespace anchor::serve {
 
 struct LookupConfig {
-  /// Hot rows cached per *cache* shard (a fixed pool of 16, so total
-  /// capacity is 16× this, shared across live epochs). 0 disables caching.
-  /// Only quantized snapshots use the cache (it skips their repeated
-  /// unpacks); fp32 rows are a bare memcpy and always bypass it.
-  std::size_t cache_rows_per_shard = 256;
   /// When set, every lookup resolves this exact snapshot instead of the
   /// store's live one. Identity, not name: the canary router pins the
   /// candidate snapshot it evaluated, so a concurrent re-register under
@@ -117,29 +104,9 @@ class LookupService {
   ServeStats& stats() { return *stats_; }
 
  private:
-  struct CacheShard {
-    mutable std::mutex mu;
-    // LRU: most-recent at front; map values point into the list.
-    struct Entry {
-      std::uint64_t key = 0;
-      std::vector<float> vec;
-    };
-    std::list<Entry> lru;
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-  };
-
-  /// Batched row gather through the shard cache: one probe pass taking each
-  /// cache shard's mutex at most once (hits copied under that lock), one
-  /// lock-free block dequantize of every miss straight into the result
-  /// buffer, one insert pass (again one lock per shard, recycling evicted
-  /// LRU nodes so the steady state allocates nothing). Entries of `rows`
-  /// equal to the OOV sentinel are skipped.
-  void fetch_rows(const EmbeddingSnapshot& snap,
-                  const std::vector<std::size_t>& rows, float* out) const;
-
   /// Shared batch skeleton: resolve the live snapshot, map every request to
   /// a row id via `resolve(i, snap, &row)` (false = OOV), gather all rows
-  /// in one fetch_rows pass, fill OOV slots via `oov_fill`, record stats.
+  /// in one pass, fill OOV slots via `oov_fill`, record stats.
   /// Writes into `*out` (reusing its buffers). Defined in the .cpp; the
   /// public entry points instantiate it there.
   template <typename Resolve, typename OovFill>
@@ -149,7 +116,6 @@ class LookupService {
   const EmbeddingStore& store_;
   LookupConfig config_;
   std::shared_ptr<ServeStats> stats_;
-  mutable std::vector<CacheShard> cache_shards_;
 };
 
 }  // namespace anchor::serve

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdlib>
 
@@ -141,6 +143,32 @@ std::size_t default_threads() {
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
+
+// fork() copies only the calling thread, so a child inherits a pool whose
+// workers do not exist: anything it submits would queue forever. The
+// atfork handlers hold g_pool_mu across the fork (so the child never
+// inherits it locked by a thread that is gone) and make the child drop the
+// inherited pool; its next global_pool() builds a fresh one. The dropped
+// pool is never destroyed — joining threads that do not exist, or taking a
+// queue mutex a vanished worker may hold, would hang — only kept reachable
+// so leak checkers stay quiet.
+void lock_pool_for_fork() { g_pool_mu.lock(); }
+void unlock_pool_after_fork() { g_pool_mu.unlock(); }
+void abandon_pool_in_child() {
+  static auto* abandoned = new std::vector<ThreadPool*>();
+  if (g_pool) abandoned->push_back(g_pool.release());
+  g_pool_mu.unlock();
+}
+
+// Registered during static initialization, before any thread can hold
+// g_pool_mu: registering lazily under that lock would leave a window where
+// a fork from another thread finds the lock held and no handler to fix it.
+[[maybe_unused]] const bool g_fork_handlers = [] {
+  ANCHOR_CHECK_MSG(pthread_atfork(lock_pool_for_fork, unlock_pool_after_fork,
+                                  abandon_pool_in_child) == 0,
+                   "pthread_atfork failed");
+  return true;
+}();
 
 }  // namespace
 

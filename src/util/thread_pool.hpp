@@ -11,6 +11,9 @@
 // One process-wide pool (global_pool) is shared by all measure computations;
 // size it with ANCHOR_THREADS (default: hardware concurrency). Benches and
 // tests may rebuild it via set_global_pool_threads to sweep thread counts.
+// It is fork-safe: a child process starts with no pool and builds a fresh
+// one (same sizing) on first use, instead of inheriting workers that
+// fork() did not copy.
 #pragma once
 
 #include <condition_variable>

@@ -1,8 +1,9 @@
 // Tests for the serving subsystem: snapshot encoding/sharding, versioned
-// store semantics, thread-safe cached lookup, hot swap under concurrency,
+// store semantics, thread-safe batched lookup, hot swap under concurrency,
 // and the instability-gated promotion path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -536,105 +537,52 @@ TEST(Lookup, EmptyStoreThrows) {
   EXPECT_THROW(service.lookup_ids({0}), CheckError);
 }
 
-TEST(Lookup, RepeatedRowsHitTheCache) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 21),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService service(store);
-  service.lookup_ids({3, 3, 3, 3});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 3u);
-  EXPECT_GT(stats.cache_hit_rate(), 0.7);
-}
-
-TEST(Lookup, CachedBatchEqualsUncachedBatch) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(60, 13, 28),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService cached(store, {.cache_rows_per_shard = 4});
-  LookupService uncached(store, {.cache_rows_per_shard = 0});
+TEST(Lookup, BatchEqualsPerRowCopyForEveryEncoding) {
+  // The batched gather must hand back exactly the snapshot's own decode of
+  // each row — fp32 memcpy, int8 dequantize, PQ codebook decode — whatever
+  // the batch holds: repeats of one row, an out-of-range id.
+  SnapshotConfig fp32;
+  fp32.build_oov_table = false;
+  SnapshotConfig int8 = fp32;
+  int8.bits = 8;
+  SnapshotConfig pq = fp32;
+  pq.pq_m = 4;
+  pq.pq_bits = 4;
+  constexpr std::size_t kVocab = 60;
   Rng rng(29);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::size_t> ids(37);
-    for (auto& id : ids) id = rng.index(60);
-    ids[3] = ids[11];  // in-batch duplicate
-    const auto a = cached.lookup_ids(ids);
-    const auto b = uncached.lookup_ids(ids);
-    ASSERT_EQ(a.vectors.size(), b.vectors.size());
-    for (std::size_t i = 0; i < a.vectors.size(); ++i) {
-      EXPECT_EQ(a.vectors[i], b.vectors[i]) << "round=" << round << " i=" << i;
+  for (const SnapshotConfig& config : {fp32, int8, pq}) {
+    EmbeddingStore store;
+    const SnapshotPtr snap =
+        store.add_version("v1", random_embedding(kVocab, 16, 28), config);
+    LookupService service(store);
+    std::vector<float> want(snap->dim());
+    for (int round = 0; round < 5; ++round) {
+      std::vector<std::size_t> ids(37);
+      for (auto& id : ids) id = rng.index(kVocab);
+      ids[3] = ids[11];  // in-batch duplicates
+      ids[20] = ids[11];
+      ids[30] = kVocab + 5;  // out of range
+      const LookupResult got = service.lookup_ids(ids);
+      ASSERT_EQ(got.size(), ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] >= kVocab) {
+          EXPECT_EQ(got.oov[i], kLookupFlagOov);
+          std::fill(want.begin(), want.end(), 0.0f);
+        } else {
+          EXPECT_EQ(got.oov[i], 0);
+          snap->copy_row(ids[i], want.data());
+        }
+        EXPECT_EQ(std::memcmp(got.row(i), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "bits=" << config.bits << " pq_m=" << config.pq_m
+            << " round=" << round << " i=" << i;
+      }
     }
   }
-  // The tiny 4-rows-per-shard capacity forces constant eviction/recycling
-  // above; the cache must still have answered something.
-  EXPECT_GT(cached.stats().snapshot().cache_hits, 0u);
 }
 
-TEST(Lookup, DuplicateRowsInOneBatchMissOnlyOnce) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 30),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService service(store);
-  const auto r = service.lookup_ids({7, 7, 2, 7, 2});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_misses, 2u);  // rows 7 and 2
-  EXPECT_EQ(stats.cache_hits, 3u);    // the three repeats
-  for (std::size_t j = 0; j < r.dim; ++j) {
-    EXPECT_EQ(r.row(0)[j], r.row(1)[j]);
-    EXPECT_EQ(r.row(0)[j], r.row(3)[j]);
-    EXPECT_EQ(r.row(2)[j], r.row(4)[j]);
-  }
-}
-
-TEST(Lookup, CacheDisabledRecordsNothing) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 22),
-                    {.bits = 8, .build_oov_table = false});
-  LookupService service(store, {.cache_rows_per_shard = 0});
-  service.lookup_ids({3, 3, 3});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
-  EXPECT_EQ(stats.lookups, 3u);
-}
-
-TEST(Lookup, Fp32SnapshotsBypassTheCache) {
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(20, 8, 22));  // fp32
-  LookupService service(store);  // caching enabled
-  service.lookup_ids({3, 3, 3});
-  const auto stats = service.stats().snapshot();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
-}
-
-TEST(Lookup, PqSnapshotsUseTheCacheAndStayBitIdentical) {
-  // Unlike fp32 (raw memcpy, cache is pure overhead), PQ rows pay a real
-  // decode on every miss, so they flow through the row cache — and hits
-  // must be byte-identical to misses since both come from pq_decode_rows
-  // over the same codes.
-  EmbeddingStore store;
-  store.add_version("v1", random_embedding(60, 16, 58),
-                    {.pq_m = 4, .pq_bits = 4, .build_oov_table = false});
-  LookupService cached(store, {.cache_rows_per_shard = 4});
-  LookupService uncached(store, {.cache_rows_per_shard = 0});
-  Rng rng(59);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::size_t> ids(31);
-    for (auto& id : ids) id = rng.index(60);
-    ids[2] = ids[17];  // in-batch duplicate
-    const auto a = cached.lookup_ids(ids);
-    const auto b = uncached.lookup_ids(ids);
-    ASSERT_EQ(a.vectors.size(), b.vectors.size());
-    for (std::size_t i = 0; i < a.vectors.size(); ++i) {
-      EXPECT_EQ(a.vectors[i], b.vectors[i]) << "round=" << round << " i=" << i;
-    }
-  }
-  const auto stats = cached.stats().snapshot();
-  EXPECT_GT(stats.cache_hits, 0u);
-  EXPECT_GT(stats.cache_misses, 0u);
-}
-
-TEST(Lookup, HotSwapServesNewVersionNotStaleCache) {
+TEST(Lookup, HotSwapServesNewVersionNotStaleRows) {
   EmbeddingStore store;
   const auto e1 = random_embedding(10, 4, 23);
   const auto e2 = random_embedding(10, 4, 24);
@@ -642,7 +590,7 @@ TEST(Lookup, HotSwapServesNewVersionNotStaleCache) {
   store.add_version("v2", e2);
   LookupService service(store);
 
-  service.lookup_ids({5, 5});  // warm the cache with v1's row 5
+  service.lookup_ids({5, 5});  // serve v1's row 5 first
   store.set_live("v2");
   const LookupResult result = service.lookup_ids({5});
   EXPECT_EQ(result.version, "v2");
@@ -730,11 +678,11 @@ TEST(Stats, CountsAndPercentiles) {
 TEST(Stats, ResetZeroesEverything) {
   ServeStats stats;
   stats.record_batch(5, 1.0);
-  stats.record_cache_hit();
+  stats.record_oov();
   stats.reset();
   const StatsSnapshot snap = stats.snapshot();
   EXPECT_EQ(snap.lookups, 0u);
-  EXPECT_EQ(snap.cache_hits, 0u);
+  EXPECT_EQ(snap.oov_fallbacks, 0u);
   EXPECT_EQ(snap.p99_latency_us, 0.0);
 }
 
@@ -830,7 +778,6 @@ TEST(Stats, ResetUnderConcurrentRecordingStaysCoherent) {
       }
       for (int i = 0; i < kPerThread; ++i) {
         stats.record_batch(2, 5.0 + (i % 3));
-        stats.record_cache_hit();
         stats.record_oov();
       }
     });

@@ -2,9 +2,12 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace anchor {
@@ -115,6 +118,66 @@ TEST(ThreadPool, GlobalPoolResizes) {
   EXPECT_EQ(util::global_pool_threads(), 3u);
   util::set_global_pool_threads(0);  // back to default sizing
   EXPECT_GE(util::global_pool_threads(), 1u);
+}
+
+// Forks; the child exits 0 iff the global pool still runs work (submit and
+// parallel_for), under an alarm so a hung pool fails instead of stalling
+// the suite. Returns the child's wait status.
+int global_pool_status_in_child() {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    alarm(10);
+    int code = 1;
+    try {
+      const int submitted = util::global_pool().submit([] { return 7; }).get();
+      std::atomic<std::size_t> sum{0};
+      util::global_pool().parallel_for(0, 64, [&](std::size_t i) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+      });
+      if (submitted == 7 && sum.load() == 64 * 63 / 2) code = 0;
+    } catch (...) {
+    }
+    _exit(code);
+  }
+  int status = -1;
+  EXPECT_EQ(waitpid(pid, &status, 0), pid);
+  return status;
+}
+
+TEST(ThreadPool, GlobalPoolRunsWorkInAForkedChild) {
+  // The parent's workers exist before the fork; the child gets none of
+  // them and must build its own pool rather than queue onto a dead one.
+  util::set_global_pool_threads(3);
+  EXPECT_EQ(util::global_pool().submit([] { return 1; }).get(), 1);
+  for (int round = 0; round < 3; ++round) {
+    const int status = global_pool_status_in_child();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "round=" << round << " status=" << status;
+  }
+  // The parent's own pool is untouched by the fork.
+  EXPECT_EQ(util::global_pool_threads(), 3u);
+  EXPECT_EQ(util::global_pool().submit([] { return 2; }).get(), 2);
+  util::set_global_pool_threads(0);
+}
+
+TEST(ThreadPool, ForkWhileAnotherThreadRebuildsTheGlobalPool) {
+  // The resizer holds the global pool's lock while it builds each pool;
+  // a fork landing inside that window must not leave the child with the
+  // lock held by a thread it does not have.
+  std::atomic<bool> stop{false};
+  std::thread resizer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      util::set_global_pool_threads(2);
+    }
+  });
+  for (int round = 0; round < 10; ++round) {
+    const int status = global_pool_status_in_child();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "round=" << round << " status=" << status;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  resizer.join();
+  util::set_global_pool_threads(0);
 }
 
 }  // namespace
