@@ -15,42 +15,27 @@
 // field existed used a raw nearest-rank sample ring and are not
 // bit-comparable at the tail.
 //
-// The async section measures the coalescing front-end: N client threads
-// each keep a window of pipelined SINGLE-KEY futures against an
-// AsyncLookupService, so all batching happens inside its flat-combining
-// ring. Numbers to watch (both in the JSON's "async_vs_native" object):
-// the ratio of coalesced single-key throughput to native lookup_batch
-// throughput at the same batch size, and the speedup over UNcoalesced
-// native single-key calls (the naive front-end the batcher replaces).
-// On a 1-core host the multi-client cells are scheduler-bound: clients,
-// combiner, and consumers time-slice one core, so the ratio peaks at 1
-// client (~50% of native batch-64) and decays with client count; the
-// single-key speedup is the robust signal.
+// The "int8 native1key" cell prices one-key calls: every request pays
+// the full per-call cost (snapshot resolve, stats) for a single row —
+// what a one-key RPC lookup costs the LookupService underneath.
 //
 // The canary section prices the CanaryRouter data plane. Two numbers:
 // the SHADOW overhead (shadow-rate 0.1 vs 0 through the same router —
-// the cost of observing agreement, a few percent) and the ROUTING
-// overhead vs the plain async batch path. The latter is dominated on a
-// 1-core host by the general path's cv-wait latency floor: the hash
-// split turns every full batch into two underfull sub-batches whose
-// flush deadline + promise wakeup cost ~100 µs of timer slack per
-// request with a single blocking driver. With concurrent clients the
-// sub-batches coalesce across requests and that floor amortizes away —
-// re-measure on multicore before reading it as steady-state cost.
+// the cost of observing agreement) and the ROUTING overhead vs the plain
+// LookupService batch path: the hash split turns every request into two
+// back-to-back lookups (incumbent + candidate) plus the merge.
 //
 // The cluster section prices the shard router's scatter-gather data
 // plane: batch-64 lookups over loopback TCP against one direct backend
 // vs a 2-shard ClusterClient split (the JSON's "cluster" object). On a
 // 1-core host the fan-out cost is dominated by time-slicing: client,
-// two backend accept/handler/batcher stacks, and the merge all share
+// two backend accept/handler stacks, and the merge all share
 // one core, so the two sub-requests serialize instead of overlapping —
 // the number to watch on multicore is how far the overhead falls once
 // shard execution is genuinely concurrent (the design's whole point).
 // Run: ./build/bench/bench_serve_throughput [--json path] [--smoke]
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <future>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -73,7 +58,6 @@ using namespace anchor;
 constexpr std::size_t kVocab = 50000;
 constexpr std::size_t kDim = 64;
 constexpr std::size_t kBatch = 64;
-constexpr std::size_t kAsyncWindow = 64;  // pipelined futures per client
 double g_seconds_per_cell = 0.4;
 
 embed::Embedding random_embedding(std::uint64_t seed) {
@@ -113,64 +97,19 @@ serve::StatsSnapshot run_cell(serve::LookupService& service, int threads,
   return service.stats().snapshot();
 }
 
-/// Coalesced single-key traffic: every request carries ONE key; each
-/// client pipelines kAsyncWindow futures so the dispatcher always has
-/// enough queued keys to form full batches (a blocking client per thread
-/// would cap coalesced batches at `threads` keys).
-serve::StatsSnapshot run_async_cell(const serve::LookupService& service,
-                                    int threads, double* mean_batch) {
-  serve::BatcherConfig config;
-  config.max_batch_size = kBatch;
-  serve::AsyncLookupService async(service, config);
-  async.stats().reset();
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < threads; ++t) {
-    clients.emplace_back([&async, &stop, t] {
-      Rng rng(3000 + static_cast<std::uint64_t>(t));
-      std::deque<serve::AsyncLookupService::SliceFuture> window;
-      while (!stop.load(std::memory_order_relaxed)) {
-        window.push_back(async.lookup_id(skewed_id(rng)));
-        // Drain everything already completed; block only when the
-        // window is full (keeps slack against batch-phase drift).
-        while (!window.empty() &&
-               (window.size() >= kAsyncWindow || window.front().ready())) {
-          window.front().get();
-          window.pop_front();
-        }
-      }
-      while (!window.empty()) {
-        window.front().get();
-        window.pop_front();
-      }
-    });
-  }
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(g_seconds_per_cell));
-  stop.store(true);
-  for (auto& c : clients) c.join();
-  const serve::StatsSnapshot s = async.stats().snapshot();
-  *mean_batch = s.batches > 0
-                    ? static_cast<double>(s.lookups) /
-                          static_cast<double>(s.batches)
-                    : 0.0;
-  return s;
-}
-
 struct BenchCell {
   std::string config;
   int threads = 0;
   serve::StatsSnapshot stats;
-  double mean_coalesced_batch = 0.0;  // async cells only
 };
 
 void add_row(TextTable& table, std::vector<BenchCell>& cells,
              const std::string& label, const serve::StatsSnapshot& s,
-             int threads, double mean_batch = 0.0) {
+             int threads) {
   table.add_row({label, std::to_string(threads),
                  format_double(s.qps / 1e6, 2), format_double(s.p50_latency_us, 1),
                  format_double(s.p99_latency_us, 1)});
-  cells.push_back({label, threads, s, mean_batch});
+  cells.push_back({label, threads, s});
 }
 
 }  // namespace
@@ -188,8 +127,6 @@ int main(int argc, char** argv) {
   if (smoke) g_seconds_per_cell = 0.05;
   const std::vector<int> native_threads =
       smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 2, 4, 8};
-  const std::vector<int> async_threads =
-      smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 2, 4, 8, 16};
   std::cout << "\n=== Serving throughput (EmbeddingStore + LookupService) "
                "===\n"
             << "vocab=" << kVocab << " dim=" << kDim << " batch=" << kBatch
@@ -239,67 +176,27 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Async coalescing: single-key futures only, batching done entirely by
-  // the AsyncLookupService dispatcher. Compare against "int8" above —
-  // that is the native lookup_batch(kBatch) hot path the coalesced
-  // traffic is trying to match.
-  std::cout << "\nasync coalesced single-key (window=" << kAsyncWindow
-            << " futures/client, max_batch=" << kBatch << "):\n";
+  // One-key calls: every request pays the full per-call cost itself,
+  // which is what a one-key RPC lookup costs the LookupService.
   store.set_live("int8");
-  serve::LookupService async_backend(store);
-  // The uncoalesced baseline: every single-key request pays the full
-  // per-batch cost itself — what a naive RPC front-end would do, and the
-  // number the batcher exists to beat.
-  const auto native1 = run_cell(async_backend, 8, 1);
-  std::cout << "  (uncoalesced native single-key at 8 threads: "
-            << format_double(native1.qps / 1e6, 2) << " Mqps)\n";
-  cells.push_back({"int8 native1key", 8, native1, 0.0});
-  TextTable async_table({"config", "threads", "Mqps", "p50 us", "p99 us",
-                         "coalesced batch"});
-  for (const int threads : async_threads) {
-    double mean_batch = 0.0;
-    const auto s = run_async_cell(async_backend, threads, &mean_batch);
-    async_table.add_row({"int8 async1key", std::to_string(threads),
-                         format_double(s.qps / 1e6, 2),
-                         format_double(s.p50_latency_us, 1),
-                         format_double(s.p99_latency_us, 1),
-                         format_double(mean_batch, 1)});
-    cells.push_back({"int8 async1key", threads, s, mean_batch});
-  }
-  async_table.print(std::cout);
+  serve::LookupService single_key_backend(store);
+  const auto native1 = run_cell(single_key_backend, 8, 1);
+  std::cout << "\nnative single-key calls at 8 threads: "
+            << format_double(native1.qps / 1e6, 2) << " Mqps\n";
+  cells.push_back({"int8 native1key", 8, native1});
 
-  // The acceptance ratio the JSON records: coalesced single-key QPS vs
-  // native batch QPS, both int8, at the highest common thread count (p50
-  // here is client-observed latency including queue wait, so it is
-  // expected to sit near max_wait_us under light load).
-  double native_ref = 0.0, async_ref = 0.0, pq_ref = 0.0;
-  int ref_threads = 0;
+  // The int8 reference the pq cells are priced against: native batch QPS
+  // at the highest thread count.
+  double native_ref = 0.0, pq_ref = 0.0;
   for (const BenchCell& c : cells) {
-    if (c.config == "int8" && c.threads >= 8) {
-      native_ref = c.stats.qps;
-      ref_threads = c.threads;
-    }
-    if (c.config == "pq4x8" && c.threads >= 8) {
-      pq_ref = c.stats.qps;
-    }
-    if (c.config == "int8 async1key" && c.threads == 8) {
-      async_ref = c.stats.qps;
-    }
+    if (c.config == "int8" && c.threads >= 8) native_ref = c.stats.qps;
+    if (c.config == "pq4x8" && c.threads >= 8) pq_ref = c.stats.qps;
   }
-  const double ratio = native_ref > 0.0 ? async_ref / native_ref : 0.0;
-  const double coalescing_speedup =
-      native1.qps > 0.0 ? async_ref / native1.qps : 0.0;
-  std::cout << "\nasync vs native batch-" << kBatch << " at " << ref_threads
-            << " threads: " << format_double(async_ref / 1e6, 2) << " / "
-            << format_double(native_ref / 1e6, 2)
-            << " Mqps = " << format_double(100.0 * ratio, 1)
-            << "%\nasync vs UNcoalesced single-key: "
-            << format_double(coalescing_speedup, 1) << "x\n";
 
   // Canary overhead: run the CanaryRouter as the data plane (fraction
   // 0.1 of keys to a candidate pinned snapshot) and price the shadow
   // mirror at shadow-rate 0.1 against shadow-rate 0 and against the
-  // plain async batch path. The candidate is the same source matrix, the
+  // plain LookupService batch path. The candidate is the same source matrix, the
   // decision thresholds are disabled, and min_shadows is unreachable, so
   // the canary stays RUNNING for the whole cell — these numbers are the
   // steady-state cost of observing a canary, not of deciding one.
@@ -308,15 +205,6 @@ int main(int argc, char** argv) {
   store.set_live("int8");
   store.add_version("int8cand", source, q8);
   serve::LookupService canary_backend(store);
-  serve::BatcherConfig canary_batcher;
-  canary_batcher.max_batch_size = kBatch;
-  // The hash split turns each 64-key request into two underfull
-  // sub-batches (~6 + ~58 keys), so with blocking drivers the flush
-  // deadline — not the lookup — dominates. 20 µs is a latency-tuned
-  // serving value; the same batcher serves the baseline cell, keeping
-  // the comparison apples-to-apples.
-  canary_batcher.max_wait_us = 20;
-  serve::AsyncLookupService canary_primary(canary_backend, canary_batcher);
   serve::GateConfig canary_gate;
   canary_gate.eis_warn = canary_gate.eis_reject = 100.0;
   canary_gate.knn_warn = canary_gate.knn_reject = 100.0;
@@ -353,8 +241,8 @@ int main(int argc, char** argv) {
 
   const int canary_threads = smoke ? 1 : 2;
   const auto baseline_cell = run_blocking_cell(
-      [&](const std::vector<std::size_t>& ids, serve::LookupResult*) {
-        canary_primary.lookup_ids(std::vector<std::size_t>(ids)).get();
+      [&](const std::vector<std::size_t>& ids, serve::LookupResult* out) {
+        canary_backend.lookup_ids_into(ids, out);
       },
       canary_threads);
 
@@ -366,9 +254,8 @@ int main(int argc, char** argv) {
     ccfg.shadow_rate = shadow_rates[c];
     ccfg.min_shadows = ~std::size_t{0} / 2;  // observe forever, never decide
     ccfg.max_shadows = ~std::size_t{0} / 2;
-    ccfg.candidate_batcher.max_wait_us = 20;
     const auto router =
-        permissive.try_promote(store, "int8cand", canary_primary, ccfg);
+        permissive.try_promote(store, "int8cand", canary_backend, ccfg);
     canary_cells[c] = run_blocking_cell(
         [&](const std::vector<std::size_t>& ids, serve::LookupResult* out) {
           router->lookup_ids_into(ids, out);
@@ -391,14 +278,14 @@ int main(int argc, char** argv) {
           ? 1.0 - canary_cells[1].qps / canary_cells[0].qps
           : 0.0;
   TextTable canary_table({"config", "threads", "Mqps", "p50 us", "p99 us"});
-  add_row(canary_table, cells, "int8 asyncbatch nocanary", baseline_cell,
+  add_row(canary_table, cells, "int8 direct nocanary", baseline_cell,
           canary_threads);
   add_row(canary_table, cells, "int8 canary f0.1 s0.0", canary_cells[0],
           canary_threads);
   add_row(canary_table, cells, "int8 canary f0.1 s0.1", canary_cells[1],
           canary_threads);
   canary_table.print(std::cout);
-  std::cout << "  routing overhead (canary vs plain async batch): "
+  std::cout << "  routing overhead (canary vs plain direct batch): "
             << format_double(100.0 * canary_routing_cost, 1)
             << "%\n  shadow overhead (s=0.1 vs s=0.0):               "
             << format_double(100.0 * shadow_cost, 1) << "%\n";
@@ -537,7 +424,6 @@ int main(int argc, char** argv) {
   json.kv("vocab", kVocab);
   json.kv("dim", kDim);
   json.kv("batch", kBatch);
-  json.kv("async_window", kAsyncWindow);
   json.kv("seconds_per_cell", g_seconds_per_cell);
   // Quantile provenance: p50/p99 in every cell are derived from the
   // shared obs::LogHistogram, not a raw sample ring.
@@ -551,9 +437,6 @@ int main(int argc, char** argv) {
     json.kv("qps", c.stats.qps);
     json.kv("p50_us", c.stats.p50_latency_us);
     json.kv("p99_us", c.stats.p99_latency_us);
-    if (c.mean_coalesced_batch > 0.0) {
-      json.kv("mean_coalesced_batch", c.mean_coalesced_batch);
-    }
     json.end_object();
   }
   json.end_array();
@@ -572,14 +455,6 @@ int main(int argc, char** argv) {
   json.kv("qps_vs_int8",
           native_ref > 0.0 ? pq_ref / native_ref : 0.0);
   json.end_object();
-  json.key("async_vs_native").begin_object();
-  json.kv("threads", ref_threads);
-  json.kv("native_batch_qps", native_ref);
-  json.kv("native_single_key_qps", native1.qps);
-  json.kv("async_single_key_qps", async_ref);
-  json.kv("ratio_vs_native_batch", ratio);
-  json.kv("speedup_vs_uncoalesced", coalescing_speedup);
-  json.end_object();
   json.key("cluster").begin_object();
   json.kv("threads", static_cast<std::size_t>(cluster_threads));
   json.kv("shards", static_cast<std::size_t>(2));
@@ -591,7 +466,7 @@ int main(int argc, char** argv) {
   json.kv("threads", static_cast<std::size_t>(canary_threads));
   json.kv("fraction", 0.1);
   json.kv("shadow_rate", 0.1);
-  json.kv("baseline_async_batch_qps", baseline_cell.qps);
+  json.kv("baseline_direct_batch_qps", baseline_cell.qps);
   json.kv("canary_no_shadow_qps", canary_cells[0].qps);
   json.kv("canary_shadow_qps", canary_cells[1].qps);
   json.kv("routing_overhead_frac", canary_routing_cost);

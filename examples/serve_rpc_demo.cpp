@@ -7,8 +7,8 @@
 // port; the parent connects with net::Client and walks the whole serving
 // surface — ping, batched id/word lookups (OOV synthesis included), a
 // rejected and an admitted gated promotion, stats, and a remote shutdown.
-// Every lookup the parent makes is coalesced inside the server's async
-// batcher before touching the store.
+// Every lookup the parent makes is answered by the server's LookupService
+// on the connection's own handler thread.
 //
 // Against an already-running daemon (e.g. started by CI or by hand):
 //   anchor_served --demo --port 7411 &
@@ -108,8 +108,7 @@ bool run_client(const std::string& host, std::uint16_t port,
   std::cout << "\nnow serving from '" << after.version << "'\n"
             << "server stats: live=" << stats.live_version
             << " encoding=" << stats.encoding
-            << "\n  service: " << stats.service.summary()
-            << "\n  batcher: " << stats.batcher.summary() << "\n";
+            << "\n  service: " << stats.service.summary() << "\n";
 
   if (send_shutdown) {
     client.shutdown_server();
@@ -119,7 +118,7 @@ bool run_client(const std::string& host, std::uint16_t port,
   const bool ok = !bad.promoted && bad.decision == serve::GateDecision::kReject &&
                   good.promoted && after.version == "v2-good" &&
                   before.version == "v1" && oov_ok && unknown_rejected &&
-                  stats.batcher.lookups > 0;
+                  stats.service.lookups > 0;
   std::cout << "\n[shape] " << (ok ? "PASS" : "FAIL")
             << "  RPC gate rejects the botched refresh, promotes the "
                "routine one, and lookups follow the hot swap\n";

@@ -1047,7 +1047,6 @@ ClusterStatsReport ClusterClient::stats() {
           report.shard_encodings[b] = one.encoding;
         }
         fold(&report.aggregate.service, one.service);
-        fold(&report.aggregate.batcher, one.batcher);
       } catch (const std::exception&) {
         drop(b, r);
       }
@@ -1077,7 +1076,6 @@ ClusterStatsReport ClusterClient::stats() {
     }
   }
   report.aggregate.service.refresh_percentiles();
-  report.aggregate.batcher.refresh_percentiles();
   return report;
 }
 

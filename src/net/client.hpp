@@ -1,6 +1,6 @@
 // Blocking RPC client for the serving daemon. One connection, one request
-// in flight at a time — the server-side batcher provides the concurrency,
-// coalescing requests from many such clients into shared batches.
+// in flight at a time — the server answers each connection on its own
+// handler thread, so concurrency comes from running many such clients.
 //
 // Results come back as the same serve-layer structs in-process callers
 // get (LookupResult, GateReport), so code can swap between the in-process
@@ -42,15 +42,15 @@ class Client {
   /// Batched lookups, mirroring LookupService's entry points.
   serve::LookupResult lookup_ids(const std::vector<std::size_t>& ids);
   serve::LookupResult lookup_words(const std::vector<std::string>& words);
-  /// Single-key convenience (still one RPC; the server coalesces).
+  /// Single-key convenience (still one RPC).
   serve::LookupResult lookup_id(std::size_t id);
   serve::LookupResult lookup_word(const std::string& word);
 
   /// Approximate nearest-neighbor search against the server's live
   /// IVF-PQ index (the TOPK RPC). The by-id / by-word forms resolve the
-  /// query row server-side through the batcher; the raw form carries the
-  /// vector. nprobe/rerank 0 = server defaults. Throws RpcError when the
-  /// server has TOPK disabled or no live version.
+  /// query row server-side through its LookupService; the raw form
+  /// carries the vector. nprobe/rerank 0 = server defaults. Throws
+  /// RpcError when the server has TOPK disabled or no live version.
   ann::TopKResult topk_id(std::uint64_t id, std::size_t k,
                           std::size_t nprobe = 0, std::size_t rerank = 0);
   ann::TopKResult topk_word(const std::string& word, std::size_t k,
@@ -125,7 +125,7 @@ class Client {
 
   // ---- request tracing --------------------------------------------------
   // A traced request carries a TraceContext in its frame extension; every
-  // stage along the path (server dispatch, batcher, lookup, and — through
+  // stage along the path (server dispatch, lookup, and — through
   // a router — scatter/gather and per-shard RTTs) records spans into its
   // process's obs::Tracer. The client itself records the end-to-end
   // kClientSend span and triggers the slow-request log.

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "net/wire.hpp"
@@ -13,9 +15,7 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
     : store_(store),
       config_(config),
       service_stats_(std::make_shared<serve::ServeStats>()),
-      batcher_stats_(std::make_shared<serve::ServeStats>()),
       windowed_(config.windowed),
-      batch_windowed_(config.windowed),
       load_([&]() -> std::unique_ptr<obs::KeyLoadRecorder> {
         if (config.hot_key_capacity == 0) return nullptr;
         obs::SpaceSavingSketch::Config sketch;
@@ -28,7 +28,7 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
         return std::make_unique<obs::KeyLoadRecorder>(sketch, heat);
       }()),
       slo_(config.slo),
-      // The services get pointers into the recorders above, which is why
+      // The service gets pointers into the recorders above, which is why
       // those are declared (and therefore constructed) first.
       service_(store,
                [&] {
@@ -37,13 +37,6 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
                  return lc;
                }(),
                service_stats_),
-      async_(service_,
-             [&] {
-               serve::BatcherConfig bc = config.batcher;
-               bc.windowed = &batch_windowed_;
-               return bc;
-             }(),
-             batcher_stats_),
       gate_(config.gate),
       listener_(TcpListener::bind_loopback(config.port)),
       faults_(config.fault_seed) {
@@ -61,9 +54,6 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
 }
 
 HeatReport Server::heat_report() {
-  // The RPC-level window only: batch_windowed_ counts coalesced *keys*,
-  // a different unit, and is exported via Prometheus instead of merged
-  // into the fleet's request-rate view.
   HeatReport report;
   report.windowed = windowed_.snapshot();
   if (load_ != nullptr) {
@@ -80,13 +70,8 @@ void Server::register_metrics() {
   // _bucket series merge exactly across processes.
   metrics_.register_histogram(
       "anchor_service_latency_us",
-      "Per executed lookup batch latency (LookupService view)",
+      "Per lookup call latency (LookupService view)",
       [this] { return service_stats_->latency_histogram(); });
-  metrics_.register_histogram(
-      "anchor_batcher_latency_us",
-      "Per coalesced batch latency, oldest enqueue to scatter "
-      "(client-observed view)",
-      [this] { return batcher_stats_->latency_histogram(); });
   if (ann_) {
     metrics_.register_histogram(
         "anchor_topk_latency_us",
@@ -108,27 +93,16 @@ void Server::register_metrics() {
   metrics_.on_collect([this, last_version,
                        last_encoding](obs::MetricsRegistry& reg) {
     const serve::StatsSnapshot service = service_stats_->snapshot();
-    const serve::StatsSnapshot batcher = batcher_stats_->snapshot();
     reg.counter("anchor_lookup_requests_total",
-                "Vectors served (client-observed, batcher view)")
-        .set(batcher.lookups);
-    reg.counter("anchor_batches_total", "Coalesced batches executed")
-        .set(batcher.batches);
-    reg.counter("anchor_service_lookups_total",
-                "Vectors served by the underlying LookupService "
-                "(canary traffic included)")
+                "Vectors served (canary traffic included)")
         .set(service.lookups);
+    reg.counter("anchor_batches_total",
+                "LookupService calls executed (one per lookup request or "
+                "TOPK query resolution; two per canary-split request)")
+        .set(service.batches);
     reg.counter("anchor_oov_fallbacks_total",
                 "Lookups answered via subword synthesis")
         .set(service.oov_fallbacks);
-    reg.gauge("anchor_batch_occupancy",
-              "Mean keys per coalesced batch since start/reset")
-        .set(batcher.batches > 0
-                 ? static_cast<double>(batcher.lookups) /
-                       static_cast<double>(batcher.batches)
-                 : 0.0);
-    reg.gauge("anchor_batcher_pending", "Requests queued, not yet flushed")
-        .set(static_cast<double>(async_.pending()));
     reg.counter("anchor_trace_spans_total",
                 "Trace spans recorded into this process's span ring")
         .set(obs::Tracer::instance().spans_recorded());
@@ -214,10 +188,6 @@ void Server::register_metrics() {
     reg.gauge("anchor_window_p99_us_1m",
               "RPC p99 latency (µs) over the last 60 s")
         .set(w.latency_in(60'000'000ull).quantile(0.99));
-    const obs::WindowedSnapshot bw = batch_windowed_.snapshot();
-    reg.gauge("anchor_batcher_window_keys_per_s_1m",
-              "Coalesced lookup keys/s over the last 60 s")
-        .set(bw.qps(60'000'000ull));
     const obs::SloState slo = slo_.evaluate(w);
     reg.gauge("anchor_slo_burn_short",
               "SLO burn rate over the short window (1.0 = exactly on "
@@ -295,7 +265,7 @@ void Server::stop() {
   }
   reap_connections(/*all=*/true);
   // Graceful-shutdown drain: every handler has exited (their in-flight
-  // batches are answered), so all that can still be mid-work is the
+  // lookups are answered), so all that can still be mid-work is the
   // canary's shadow scorer — wait for it rather than tearing the process
   // down under a half-scored comparison window.
   const auto canary = [this] {
@@ -432,128 +402,101 @@ struct WindowedScope {
 
 }  // namespace
 
+std::uint64_t Server::max_reply_keys() const {
+  // Each row costs dim f32s plus an oov byte. Checked before running a
+  // lookup, so an oversized-but-well-formed request is refused with an
+  // error frame instead of allocating gigabytes and failing at send time.
+  // A concurrent hot swap to a different dim is caught by write_frame's
+  // own cap check (kError reply, no crash).
+  const serve::SnapshotPtr live = store_.live();
+  const std::uint64_t row_bytes = live ? live->dim() * sizeof(float) + 1 : 1;
+  return (kMaxFrameBytes - 1024) / row_bytes;
+}
+
+template <typename Key>
+bool Server::serve_lookup(TcpStream& stream, MsgType reply_type,
+                          WireReader& reader, const obs::TraceContext& trace) {
+  constexpr bool kWords = std::is_same_v<Key, std::string>;
+  WindowedScope wscope(windowed_);
+  const std::uint32_t n = reader.u32();
+  // Each id occupies 8 payload bytes and every word at least its 4-byte
+  // length prefix, so a count the payload cannot hold is malformed —
+  // reject before allocating n slots.
+  if (n > reader.remaining() /
+              (kWords ? sizeof(std::uint32_t) : sizeof(std::uint64_t))) {
+    throw WireError(kWords ? "word count exceeds payload"
+                           : "id count exceeds payload");
+  }
+  if (n > max_reply_keys()) {
+    WireWriter err;
+    err.str("batch too large: reply would exceed the frame cap");
+    write_frame(stream, MsgType::kError, err);
+    return true;
+  }
+  std::vector<Key> keys(n);
+  for (Key& key : keys) {
+    if constexpr (kWords) {
+      key = reader.str();
+    } else {
+      key = static_cast<std::size_t>(reader.u64());
+    }
+  }
+  reader.expect_done();
+  // One result buffer per connection thread: the steady state reuses its
+  // capacity and allocates nothing per request.
+  thread_local serve::LookupResult result;
+  try {
+    // A sampled request becomes this thread's current trace, so the
+    // LookupService underneath records its dequantize span.
+    std::optional<obs::Tracer::Scope> scope;
+    if (trace.sampled()) scope.emplace(trace);
+    if (const auto canary = active_canary()) {
+      // Canary data plane: the router hash-splits the keys between
+      // incumbent and candidate (and mirrors the shadow sample), then
+      // merges back into request order.
+      if constexpr (kWords) {
+        canary->lookup_words_into(keys, &result);
+      } else {
+        canary->lookup_ids_into(keys, &result);
+      }
+    } else if constexpr (kWords) {
+      service_.lookup_words_into(keys, &result);
+    } else {
+      service_.lookup_ids_into(keys, &result);
+    }
+    WireWriter reply;
+    encode_lookup_result(result, &reply);
+    if (!send_data_reply(stream, reply_type, reply)) return false;
+    wscope.error = false;
+  } catch (const NetError&) {
+    // Transport failure, possibly mid-reply: the stream framing is gone;
+    // close the connection instead of appending an error frame onto a
+    // truncated reply.
+    throw;
+  } catch (const std::exception& e) {
+    WireWriter err;
+    err.str(e.what());
+    write_frame(stream, MsgType::kError, err);
+  }
+  return true;
+}
+
 bool Server::dispatch(TcpStream& stream, MsgType type,
                       const std::vector<std::uint8_t>& payload,
                       const obs::TraceContext& trace) {
   WireReader reader(payload);
   WireWriter reply;
-  // Upper bound on keys whose REPLY still fits the frame cap: each row
-  // costs dim f32s plus an oov byte. Checked before running a lookup, so
-  // an oversized-but-well-formed request is refused with an error frame
-  // instead of allocating gigabytes and failing at send time. Uses the
-  // live snapshot's dim; a concurrent hot swap to a different dim is
-  // caught by write_frame's own cap check (kError reply, no crash).
-  const auto max_reply_keys = [this]() -> std::uint64_t {
-    const serve::SnapshotPtr live = store_.live();
-    const std::uint64_t row_bytes =
-        live ? live->dim() * sizeof(float) + 1 : 1;
-    return (kMaxFrameBytes - 1024) / row_bytes;
-  };
   // Payload decode errors (WireError) propagate to handle_connection and
   // close the connection — the stream itself is fine but the peer speaks a
   // different layout. Serving errors (unknown version, empty store) keep
   // the connection and answer kError instead.
   switch (type) {
-    case MsgType::kLookupIds: {
-      WindowedScope wscope(windowed_);
-      const std::uint32_t n = reader.u32();
-      // Each id occupies 8 payload bytes, so a count the payload cannot
-      // hold is malformed — reject before allocating n slots.
-      if (n > reader.remaining() / sizeof(std::uint64_t)) {
-        throw WireError("id count exceeds payload");
-      }
-      if (n > max_reply_keys()) {
-        WireWriter err;
-        err.str("batch too large: reply would exceed the frame cap");
-        write_frame(stream, MsgType::kError, err);
-        return true;
-      }
-      std::vector<std::size_t> ids(n);
-      for (auto& id : ids) id = static_cast<std::size_t>(reader.u64());
-      reader.expect_done();
-      try {
-        if (const auto canary = active_canary()) {
-          // Canary data plane: the router hash-splits the keys between
-          // incumbent and candidate (and mirrors the shadow sample),
-          // then merges back into request order.
-          serve::LookupResult merged;
-          canary->lookup_ids_into(ids, &merged);
-          encode_lookup_result(merged, &reply);
-          const bool sent =
-              send_data_reply(stream, MsgType::kLookupIdsReply, reply);
-          wscope.error = !sent;
-          return sent;
-        }
-        // Single keys ride the allocation-free ring fast path; bigger
-        // requests coalesce on the general path. Traced requests always
-        // take the general path — the ring's slots carry no trace, and a
-        // sampled request is rare enough that the span fidelity is worth
-        // more than the fast path.
-        const serve::ResultSlice slice =
-            trace.sampled() ? async_.lookup_ids(std::move(ids), trace).get()
-            : ids.size() == 1 ? async_.lookup_id(ids[0]).get()
-                              : async_.lookup_ids(std::move(ids)).get();
-        encode_result_slice(slice, &reply);
-        if (!send_data_reply(stream, MsgType::kLookupIdsReply, reply)) {
-          return false;
-        }
-        wscope.error = false;
-      } catch (const NetError&) {
-        // Transport failure, possibly mid-reply: the stream framing is
-        // gone; close the connection instead of appending an error frame
-        // onto a truncated reply.
-        throw;
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
-      }
-      return true;
-    }
-    case MsgType::kLookupWords: {
-      WindowedScope wscope(windowed_);
-      const std::uint32_t n = reader.u32();
-      // Every word carries at least its 4-byte length prefix.
-      if (n > reader.remaining() / sizeof(std::uint32_t)) {
-        throw WireError("word count exceeds payload");
-      }
-      if (n > max_reply_keys()) {
-        WireWriter err;
-        err.str("batch too large: reply would exceed the frame cap");
-        write_frame(stream, MsgType::kError, err);
-        return true;
-      }
-      std::vector<std::string> words(n);
-      for (auto& word : words) word = reader.str();
-      reader.expect_done();
-      try {
-        if (const auto canary = active_canary()) {
-          serve::LookupResult merged;
-          canary->lookup_words_into(words, &merged);
-          encode_lookup_result(merged, &reply);
-          const bool sent =
-              send_data_reply(stream, MsgType::kLookupWordsReply, reply);
-          wscope.error = !sent;
-          return sent;
-        }
-        const serve::ResultSlice slice =
-            trace.sampled()
-                ? async_.lookup_words(std::move(words), trace).get()
-                : async_.lookup_words(std::move(words)).get();
-        encode_result_slice(slice, &reply);
-        if (!send_data_reply(stream, MsgType::kLookupWordsReply, reply)) {
-          return false;
-        }
-        wscope.error = false;
-      } catch (const NetError&) {
-        throw;  // transport failure mid-reply: close, don't answer
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
-      }
-      return true;
-    }
+    case MsgType::kLookupIds:
+      return serve_lookup<std::size_t>(stream, MsgType::kLookupIdsReply,
+                                       reader, trace);
+    case MsgType::kLookupWords:
+      return serve_lookup<std::string>(stream, MsgType::kLookupWordsReply,
+                                       reader, trace);
     case MsgType::kTopK: {
       WindowedScope wscope(windowed_);
       TopKRequest req = decode_topk_request(&reader);
@@ -565,22 +508,21 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
         return true;
       }
       try {
-        // Resolve the query vector. Id/word queries ride the batcher like
-        // any lookup, so TOPK resolution coalesces with concurrent lookup
-        // traffic instead of bypassing the serving path (and OOV words
-        // search from their synthesized vector, same as a lookup).
+        // Resolve the query vector. Id/word queries go through the
+        // LookupService like any lookup, so they count in its stats and
+        // key-load telemetry (and OOV words search from their synthesized
+        // vector, same as a lookup).
         std::vector<float> query;
         if (req.kind == kTopKKindVector) {
           query = std::move(req.vector);
         } else {
-          const serve::ResultSlice slice =
-              req.kind == kTopKKindId
-                  ? async_.lookup_id(static_cast<std::size_t>(req.id)).get()
-                  : async_.lookup_word(std::move(req.word)).get();
-          if (slice.size() != 1) {
-            throw std::runtime_error("topk query resolution failed");
+          serve::LookupResult row;
+          if (req.kind == kTopKKindId) {
+            service_.lookup_ids_into({static_cast<std::size_t>(req.id)}, &row);
+          } else {
+            service_.lookup_words_into({std::move(req.word)}, &row);
           }
-          query.assign(slice.row(0), slice.row(0) + slice.dim());
+          query.assign(row.row(0), row.row(0) + row.dim);
         }
         const ann::IvfPqIndexPtr index = ann_->index_for_live();
         if (!index) throw std::runtime_error("no live version to search");
@@ -716,7 +658,6 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
         report.encoding = live->encoding();
       }
       report.service = service_.stats().snapshot();
-      report.batcher = async_.stats().snapshot();
       encode_server_stats(report, &reply);
       write_frame(stream, MsgType::kStatsReply, reply);
       return true;
@@ -770,15 +711,13 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
         // Candidate-side traffic counts into the server's own stats, so
         // kStats does not under-report while the canary runs.
         ccfg.candidate_service_stats = service_stats_;
-        ccfg.candidate_batcher_stats = batcher_stats_;
-        // Same rationale for key-load attribution: the candidate stack
+        // Same rationale for key-load attribution: the candidate service
         // serves a slice of real traffic, so its keys feed the same
         // sketch/heat map and the HEAT view stays whole-traffic.
         ccfg.candidate_lookup.load = load_.get();
-        ccfg.candidate_batcher.windowed = &batch_windowed_;
         serve::GateReport offline;
         const auto router =
-            gate_.try_promote(store_, candidate, async_, ccfg, &offline);
+            gate_.try_promote(store_, candidate, service_, ccfg, &offline);
         {
           std::lock_guard<std::mutex> clock(canary_mu_);
           canary_ = router;

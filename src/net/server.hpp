@@ -1,14 +1,14 @@
 // TCP front-end for the serving stack: accepts loopback connections and
-// drives the async batcher, so out-of-process consumers get gated,
-// versioned embeddings over the wire.
+// answers them from a LookupService, so out-of-process consumers get
+// gated, versioned embeddings over the wire.
 //
 // Topology: one accept thread + one handler thread per connection. Each
-// handler parses frames and blocks on the batcher future for lookups —
-// which is exactly what makes the design scale on the serving side:
-// concurrent connections' single-key requests coalesce into shared
-// batches inside AsyncLookupService instead of each paying the full
-// per-batch cost. Control-plane requests (try_promote, stats, shutdown)
-// execute on the handler thread directly.
+// handler parses a frame and serves it on its own thread: a lookup calls
+// LookupService::lookup_ids_into / lookup_words_into straight into a
+// per-thread LookupResult and writes the reply, so a read never waits for
+// a batch to fill, a dispatcher hop, or a shared thread pool that gate
+// work may be occupying. Control-plane requests (try_promote, stats,
+// shutdown) execute on the handler thread the same way.
 //
 // The server binds in the constructor (so an ephemeral port is known
 // immediately), but serves only once run() or start() is called. stop()
@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/windowed.hpp"
-#include "serve/batcher.hpp"
 #include "serve/canary.hpp"
 #include "serve/deployment_gate.hpp"
 #include "serve/embedding_store.hpp"
@@ -47,7 +46,6 @@ struct ServerConfig {
   /// 0 = ephemeral; read the bound port back with Server::port().
   std::uint16_t port = 0;
   serve::LookupConfig lookup;
-  serve::BatcherConfig batcher;
   serve::GateConfig gate;
   /// Defaults for kCanaryStart (a request may override fraction and
   /// shadow_rate per canary).
@@ -86,8 +84,8 @@ struct ServerConfig {
   double topk_churn_reject = 0.0;
   std::size_t topk_churn_queries = 64;
   std::size_t topk_churn_k = 10;
-  /// Windowed-telemetry ring shape, shared by the RPC-level and
-  /// batch-level recorders (they must agree so their snapshots merge).
+  /// Windowed-telemetry ring shape of the RPC-level recorder (fleet
+  /// peers must agree so their snapshots merge).
   obs::WindowedConfig windowed;
   /// SLO burn-rate policy over the RPC window (`--slo-p99-us`,
   /// `--slo-error-budget` on the daemon).
@@ -104,8 +102,8 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Binds 127.0.0.1:port and builds the serving stack (LookupService →
-  /// AsyncLookupService → DeploymentGate) over the caller's store. The
+  /// Binds 127.0.0.1:port and builds the serving stack (LookupService +
+  /// DeploymentGate) over the caller's store. The
   /// store must outlive the server; it may be mutated concurrently
   /// (add_version + RPC try_promote is the intended hot-swap flow).
   Server(serve::EmbeddingStore& store, ServerConfig config = {});
@@ -131,7 +129,6 @@ class Server {
   }
 
   const serve::LookupService& service() const { return service_; }
-  serve::AsyncLookupService& async() { return async_; }
   const serve::DeploymentGate& gate() const { return gate_; }
   /// The process metrics plane: serve-layer counters and latency
   /// histograms are bridged in by the constructor; the kMetrics RPC and
@@ -160,11 +157,20 @@ class Server {
   void handle_connection(TcpStream stream);
   /// Dispatches one request frame; returns false when the connection
   /// should close (shutdown honored). `trace` is the frame's trace
-  /// context (invalid for untraced requests): traced lookups take the
-  /// batcher's traced general path so their spans are recorded.
+  /// context (invalid for untraced requests): a sampled lookup installs
+  /// it around the LookupService call so the dequantize span is recorded.
   bool dispatch(TcpStream& stream, MsgType type,
                 const std::vector<std::uint8_t>& payload,
                 const obs::TraceContext& trace);
+  /// kLookupIds (Key = std::size_t) and kLookupWords (Key = std::string):
+  /// decode the keys, look them up on this thread (through the canary
+  /// router while one is active), and reply with `reply_type`.
+  template <typename Key>
+  bool serve_lookup(TcpStream& stream, MsgType reply_type,
+                    WireReader& reader, const obs::TraceContext& trace);
+  /// Upper bound on keys whose REPLY still fits the frame cap at the live
+  /// snapshot's dim.
+  std::uint64_t max_reply_keys() const;
   /// Writes a data-plane (lookup) reply through the fault injector;
   /// returns false when the injected fault closed the connection. Control
   /// replies bypass this — chaos must not blind the chaos orchestrator.
@@ -174,21 +180,18 @@ class Server {
 
   serve::EmbeddingStore& store_;
   ServerConfig config_;
-  /// Shared with the canary router's candidate-side stack, so the Stats
-  /// RPC keeps covering all traffic while a canary routes part of it.
+  /// Shared with the canary router's candidate-side service, so the
+  /// Stats RPC keeps covering all traffic while a canary routes part of
+  /// it.
   std::shared_ptr<serve::ServeStats> service_stats_;
-  std::shared_ptr<serve::ServeStats> batcher_stats_;
   /// Telemetry recorders are declared (and constructed) before the
-  /// services that hold pointers into them: windowed_ feeds the RPC
-  /// dispatch loop, batch_windowed_ rides BatcherConfig::windowed, and
-  /// load_ rides LookupConfig::load (so the canary's candidate stack and
-  /// the incumbent attribute into the same sketch).
+  /// service that holds pointers into them: windowed_ feeds the RPC
+  /// dispatch loop and load_ rides LookupConfig::load (so the canary's
+  /// candidate service and the incumbent attribute into the same sketch).
   obs::WindowedStats windowed_;
-  obs::WindowedStats batch_windowed_;
   std::unique_ptr<obs::KeyLoadRecorder> load_;
   obs::SloMonitor slo_;
   serve::LookupService service_;
-  serve::AsyncLookupService async_;
   serve::DeploymentGate gate_;
   TcpListener listener_;
   obs::MetricsRegistry metrics_;
@@ -214,8 +217,8 @@ class Server {
   /// connection ever served. stop() joins the rest unconditionally.
   void reap_connections(bool all);
 
-  /// The canary-routed data plane: nullptr or inactive → the plain async
-  /// path. The pointer is swapped under canary_mu_ by the control plane;
+  /// The canary-routed data plane: nullptr or inactive → the plain
+  /// LookupService path. The pointer is swapped under canary_mu_ by the control plane;
   /// handlers take a shared_ptr copy per request, so an abort/replace
   /// never invalidates a lookup in flight.
   std::shared_ptr<serve::CanaryRouter> active_canary() const;

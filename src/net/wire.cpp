@@ -99,16 +99,6 @@ void encode_lookup_result(const serve::LookupResult& result, WireWriter* w) {
   encode_lookup_result_slice(result, 0, result.size(), w);
 }
 
-void encode_result_slice(const serve::ResultSlice& slice, WireWriter* w) {
-  if (slice.batch() == nullptr) {
-    w->str("");
-    w->u32(0);
-    w->u32(0);
-    return;
-  }
-  encode_lookup_result_slice(*slice.batch(), slice.first(), slice.size(), w);
-}
-
 serve::LookupResult decode_lookup_result(WireReader* r) {
   serve::LookupResult result;
   result.version = r->str();
@@ -296,7 +286,7 @@ obs::MetricsReport decode_metrics_report(WireReader* r) {
 void encode_server_stats(const ServerStatsReport& s, WireWriter* w) {
   w->str(s.live_version);
   encode_stats_snapshot(s.service, w);
-  encode_stats_snapshot(s.batcher, w);
+  encode_stats_snapshot(serve::StatsSnapshot{}, w);  // reserved block
   w->str(s.encoding);
 }
 
@@ -304,7 +294,7 @@ ServerStatsReport decode_server_stats(WireReader* r) {
   ServerStatsReport s;
   s.live_version = r->str();
   s.service = decode_stats_snapshot(r);
-  s.batcher = decode_stats_snapshot(r);
+  decode_stats_snapshot(r);  // reserved block
   // Trailing v4 field: absent in a v3 peer's reply, so only read it when
   // bytes remain (the call sites' expect_done() still rejects junk beyond).
   if (r->remaining() > 0) s.encoding = r->str();

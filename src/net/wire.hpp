@@ -27,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/windowed.hpp"
-#include "serve/batcher.hpp"
 #include "serve/canary.hpp"
 #include "serve/deployment_gate.hpp"
 #include "serve/lookup_service.hpp"
@@ -153,6 +152,7 @@ class WireWriter {
   // -Wstringop-overflow false-fires on the inlined insert-into-empty-
   // vector memmove in some TUs.
   void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // p may be null (an empty vector's data())
     const std::size_t old = buf_.size();
     buf_.resize(old + n);
     std::memcpy(buf_.data() + old, p, n);
@@ -181,13 +181,17 @@ class WireReader {
     pos_ += n;
     return s;
   }
+  // n == 0 skips the memcpy: an empty vector's data() may be null, and
+  // memcpy with a null pointer is undefined even at size 0.
   void f32s(float* out, std::size_t n) {
     need(n * sizeof(float));
+    if (n == 0) return;
     std::memcpy(out, data_ + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
   }
   void bytes(std::uint8_t* out, std::size_t n) {
     need(n);
+    if (n == 0) return;
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
@@ -247,15 +251,10 @@ bool read_frame(TcpStream& stream, MsgType* type,
 // ---- payload codecs (shared by Client and Server) ----------------------
 
 void encode_lookup_result(const serve::LookupResult& result, WireWriter* w);
-/// Encodes rows [first, first+count) of `result` in the same layout —
-/// what the server uses to answer from a batcher ResultSlice without
-/// materializing a per-caller LookupResult.
+/// Encodes rows [first, first+count) of `result` in the same layout.
 void encode_lookup_result_slice(const serve::LookupResult& result,
                                 std::size_t first, std::size_t count,
                                 WireWriter* w);
-/// Same layout, straight from a batcher slice (empty slices with no
-/// backing batch encode as a zero-row result).
-void encode_result_slice(const serve::ResultSlice& slice, WireWriter* w);
 serve::LookupResult decode_lookup_result(WireReader* r);
 
 void encode_gate_report(const serve::GateReport& report, WireWriter* w);
@@ -283,11 +282,11 @@ struct ServerStatsReport {
   /// replies unchanged (old readers reject the longer v4 payload — see
   /// PROTOCOL.md's compatibility note).
   std::string encoding;
-  /// Underlying LookupService counters (per executed batch).
+  /// LookupService counters (one record per lookup call). The wire
+  /// payload still carries a second StatsSnapshot block after this one,
+  /// reserved since the daemon stopped batching: written empty, skipped
+  /// on read.
   serve::StatsSnapshot service;
-  /// Batcher counters: one record per *coalesced* batch, latency measured
-  /// from the oldest waiter's enqueue — the client-observed view.
-  serve::StatsSnapshot batcher;
 };
 
 void encode_server_stats(const ServerStatsReport& s, WireWriter* w);
@@ -378,8 +377,7 @@ inline constexpr std::uint8_t kTopKModeCandidates = 1;
 
 /// kind — how the query vector is specified:
 ///   kTopKKindId / kTopKKindWord resolve a live-store row through the
-///   server's batcher (coalescing with concurrent lookups) and search for
-///   its neighbors; kTopKKindVector carries a raw float vector (what the
+///   server's LookupService and search for its neighbors; kTopKKindVector carries a raw float vector (what the
 ///   router sends shards after resolving the query itself).
 inline constexpr std::uint8_t kTopKKindId = 0;
 inline constexpr std::uint8_t kTopKKindWord = 1;

@@ -2,7 +2,7 @@
 //
 // A TraceContext is 17 bytes — trace id, span id, flags — carried in the
 // optional wire-frame extension of protocol v3 (net/PROTOCOL.md), so one
-// sampled lookup can be followed client → router → backend → batcher →
+// sampled lookup can be followed client → router → backend →
 // LookupService. Each component brackets its stage with monotonic
 // (steady_clock) timestamps and records a SpanRecord into the
 // process-wide Tracer's lock-free span ring; the request originator
@@ -56,9 +56,9 @@ enum class TraceStage : std::uint8_t {
   kShardRtt = 4,      // router: one backend's send → its replies (detail=shard)
   kRouterMerge = 5,   // router: scatter done → merged result ready
   kBackendRecv = 6,   // backend: request frame parsed → reply written
-  kBatchQueue = 7,    // backend: request enqueued → its batch started
-  kBatchExec = 8,     // backend: batch started → results scattered
-  kDequantize = 9,    // backend: cache/dequantize pass inside the lookup
+  kBatchQueue = 7,    // reserved: the retired daemon batcher's queue wait
+  kBatchExec = 8,     // reserved: the retired daemon batcher's execution
+  kDequantize = 9,    // backend: row copy/decode pass inside the lookup
   kTopkSearch = 10,   // backend: IVF-PQ probe+ADC+re-rank inside a TOPK
 };
 
@@ -123,11 +123,10 @@ class Tracer {
 
   static std::uint64_t now_ns();
 
-  /// Thread-local context bridge: the batcher executes coalesced batches
-  /// on worker threads where the request's TraceContext is not in any
-  /// argument list (LookupService's API predates tracing). Scope installs
-  /// a context for the duration of a batch execution; LookupService reads
-  /// current() to attribute its dequantize span.
+  /// Thread-local context bridge: the request's TraceContext is not in
+  /// LookupService's argument list (its API predates tracing). The
+  /// daemon's connection thread installs a Scope around a sampled lookup;
+  /// LookupService reads current() to attribute its dequantize span.
   static const TraceContext& current();
   class Scope {
    public:

@@ -96,18 +96,6 @@ class WindowedStats {
   void record(double latency_us, bool error) {
     record_many_at(wall_micros(), latency_us, 1, error ? 1 : 0);
   }
-  /// Records a coalesced batch: `requests` keys that shared one observed
-  /// latency (the batcher's per-flush hook).
-  void record_many(double latency_us, std::uint64_t requests,
-                   std::uint64_t errors) {
-    record_many_at(wall_micros(), latency_us, requests, errors);
-  }
-  /// Counts requests that carried no latency observation (the batcher's
-  /// unsampled-clock fast path) — same no-fake-zeroes discipline as
-  /// ServeStats::record_batch_unsampled.
-  void record_unsampled(std::uint64_t requests, std::uint64_t errors) {
-    record_many_at(wall_micros(), -1.0, requests, errors);
-  }
   /// Deterministic-time variant for tests. A negative `latency_us` counts
   /// the requests without a latency observation.
   void record_many_at(std::uint64_t now_us, double latency_us,

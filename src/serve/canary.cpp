@@ -222,12 +222,12 @@ std::string CanaryStatsSnapshot::summary() const {
 // ---- CanaryRouter ------------------------------------------------------
 
 CanaryRouter::CanaryRouter(EmbeddingStore& store,
-                           AsyncLookupService& incumbent_traffic,
+                           const LookupService& incumbent_service,
                            SnapshotPtr incumbent, SnapshotPtr candidate,
                            GateReport offline, CanaryConfig config,
                            std::filesystem::path audit_log)
     : store_(store),
-      incumbent_traffic_(incumbent_traffic),
+      incumbent_service_(incumbent_service),
       incumbent_(std::move(incumbent)),
       candidate_(std::move(candidate)),
       incumbent_name_(incumbent_->version()),
@@ -243,9 +243,7 @@ CanaryRouter::CanaryRouter(EmbeddingStore& store,
                            lc.pin_snapshot = candidate_;
                            return lc;
                          }(),
-                         config.candidate_service_stats),
-      candidate_async_(candidate_service_, config.candidate_batcher,
-                       config.candidate_batcher_stats) {
+                         config.candidate_service_stats) {
   ANCHOR_CHECK_MSG(incumbent_->dim() == candidate_->dim(),
                    "canary requires equal embedding dimensions ("
                        << incumbent_->dim() << " vs " << candidate_->dim()
@@ -306,44 +304,27 @@ bool CanaryRouter::shadows_key(std::size_t key) const {
          shadow_threshold_;
 }
 
-/// One in-flight sub-lookup: the single-key ring fast path when the
-/// subset is one id, the general promise path otherwise (words always
-/// take the general path).
-struct CanaryRouter::Pending {
-  AsyncLookupService::SliceFuture fast;
-  std::future<ResultSlice> general;
-  bool use_fast = false;
-  bool valid = false;
-
-  void issue(AsyncLookupService& svc, std::vector<std::size_t> keys) {
-    if (keys.empty()) return;
-    valid = true;
-    if (keys.size() == 1) {
-      use_fast = true;
-      fast = svc.lookup_id(keys[0]);
-    } else {
-      general = svc.lookup_ids(std::move(keys));
-    }
-  }
-  void issue(AsyncLookupService& svc, std::vector<std::string> words) {
-    if (words.empty()) return;
-    valid = true;
-    general = svc.lookup_words(std::move(words));
-  }
-  ResultSlice get() { return use_fast ? fast.get() : general.get(); }
-};
-
 namespace {
 
-/// Scatters slice row r → out row slots[r] for every r.
-void scatter_slice(const ResultSlice& slice,
-                   const std::vector<std::uint32_t>& slots,
-                   LookupResult* out) {
+/// The service entry point per key type.
+void lookup_into(const LookupService& service,
+                 const std::vector<std::size_t>& ids, LookupResult* out) {
+  service.lookup_ids_into(ids, out);
+}
+void lookup_into(const LookupService& service,
+                 const std::vector<std::string>& words, LookupResult* out) {
+  service.lookup_words_into(words, out);
+}
+
+/// Scatters src row r → out row slots[r] for every slot.
+void scatter_rows(const LookupResult& src,
+                  const std::vector<std::uint32_t>& slots,
+                  LookupResult* out) {
   const std::size_t dim = out->dim;
-  for (std::size_t r = 0; r < slice.size(); ++r) {
-    std::memcpy(out->vectors.data() + slots[r] * dim, slice.row(r),
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    std::memcpy(out->vectors.data() + slots[r] * dim, src.row(r),
                 dim * sizeof(float));
-    out->oov[slots[r]] = slice.oov(r) ? 1 : 0;
+    out->oov[slots[r]] = src.oov[r];
   }
 }
 
@@ -400,24 +381,8 @@ void CanaryRouter::route_into(const std::vector<Key>& keys,
   if (!active()) {
     inflight.release();  // incumbent-only from here; don't stall a drain
     // Terminal (or about to be replaced): everything follows the store's
-    // live version through the shared front-end.
-    Pending p;
-    if (!keys.empty()) p.issue(incumbent_traffic_, std::vector<Key>(keys));
-    out->dim = 0;
-    out->vectors.clear();
-    out->oov.clear();
-    out->version.clear();
-    if (!p.valid) return;
-    const ResultSlice slice = p.get();
-    out->dim = slice.dim();
-    out->version = slice.version();
-    out->vectors.assign(keys.size() * slice.dim(), 0.0f);
-    out->oov.assign(keys.size(), 0);
-    for (std::size_t r = 0; r < slice.size(); ++r) {
-      std::memcpy(out->vectors.data() + r * slice.dim(), slice.row(r),
-                  slice.dim() * sizeof(float));
-      out->oov[r] = slice.oov(r) ? 1 : 0;
-    }
+    // live version through the shared service.
+    lookup_into(incumbent_service_, keys, out);
     return;
   }
 
@@ -452,42 +417,32 @@ void CanaryRouter::route_into(const std::vector<Key>& keys,
   stats_.record_candidate(cand_keys.size());
   stats_.record_incumbent(inc_keys.size() + shadow_keys.size());
 
-  // The mirror rides the SAME incumbent sub-request, as its tail rows:
-  // no third request, no extra wakeup chain — a shadow costs its keys'
-  // lookup work and nothing else. Issue both sides before blocking on
-  // either so they execute concurrently.
+  // The mirror rides the SAME incumbent lookup, as its tail rows: a
+  // shadow costs its keys' lookup work and nothing else. Both lookups run
+  // back to back on this thread into per-thread buffers, so the steady
+  // state allocates nothing; the latency delta is candidate time minus
+  // incumbent time for the two calls.
   const std::size_t inc_only = inc_keys.size();
   inc_keys.insert(inc_keys.end(), shadow_keys.begin(), shadow_keys.end());
-  const auto t0 = std::chrono::steady_clock::now();
-  Pending cand, inc;
-  cand.issue(candidate_async_, std::move(cand_keys));
-  inc.issue(incumbent_traffic_, std::move(inc_keys));
-
-  // Incumbent first, then candidate: cand_us − inc_us is then the
-  // non-negative completion skew — how much later the candidate side's
-  // answer arrived than the incumbent side's, queue wait included (0
-  // when the candidate was already done).
-  ResultSlice inc_slice;
+  thread_local LookupResult inc, cand;
   double inc_us = 0.0;
-  if (inc.valid) {
-    inc_slice = inc.get();
+  if (!inc_keys.empty()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    lookup_into(incumbent_service_, inc_keys, &inc);
     inc_us = elapsed_us(t0);
-    scatter_slice(ResultSlice(inc_slice.batch(), inc_slice.first(), inc_only),
-                  inc_slots, out);
+    scatter_rows(inc, inc_slots, out);
   }
-  ResultSlice cand_slice;
   double cand_us = 0.0;
-  if (cand.valid) {
-    cand_slice = cand.get();
+  if (!cand_keys.empty()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    lookup_into(candidate_service_, cand_keys, &cand);
     cand_us = elapsed_us(t0);
-    scatter_slice(cand_slice, cand_slots, out);
+    scatter_rows(cand, cand_slots, out);
   }
 
-  if (!shadow_keys.empty() && cand.valid) {
-    const ResultSlice mirror(inc_slice.batch(), inc_slice.first() + inc_only,
-                             shadow_keys.size());
-    score_shadows(self_probe_ids(shadow_keys), shadow_cand_rows, cand_slice,
-                  mirror, std::max(0.0, cand_us - inc_us));
+  if (!shadow_keys.empty()) {
+    score_shadows(self_probe_ids(shadow_keys), shadow_cand_rows, cand, inc,
+                  inc_only, cand_us - inc_us);
   }
   maybe_decide();
 }
@@ -535,15 +490,15 @@ bool CanaryRouter::probe_topk(const la::Matrix& probes, const float* vec,
 void CanaryRouter::score_shadows(
     const std::vector<std::size_t>& shadow_keys,
     const std::vector<std::uint32_t>& shadow_cand_rows,
-    const ResultSlice& cand_slice, const ResultSlice& mirror_slice,
-    double latency_delta_us) {
+    const LookupResult& cand, const LookupResult& inc,
+    std::size_t mirror_first, double latency_delta_us) {
   const std::size_t dim = incumbent_->dim();
   thread_local std::vector<int> top_cand, top_inc;
-  for (std::size_t j = 0; j < mirror_slice.size(); ++j) {
+  for (std::size_t j = 0; j < shadow_cand_rows.size(); ++j) {
     const std::uint32_t cr = shadow_cand_rows[j];
-    if (cand_slice.oov(cr) || mirror_slice.oov(j)) continue;
-    const float* vc = cand_slice.row(cr);
-    const float* vi = mirror_slice.row(j);
+    if (cand.oov[cr] != 0 || inc.oov[mirror_first + j] != 0) continue;
+    const float* vc = cand.row(cr);
+    const float* vi = inc.row(mirror_first + j);
 
     std::size_t self_probe = kNoProbe;
     if (j < shadow_keys.size()) {
@@ -705,7 +660,7 @@ std::string CanaryRouter::decision_reason() const {
 
 std::shared_ptr<CanaryRouter> DeploymentGate::try_promote(
     EmbeddingStore& store, const std::string& candidate_version,
-    AsyncLookupService& incumbent_traffic, const CanaryConfig& canary,
+    const LookupService& incumbent_service, const CanaryConfig& canary,
     GateReport* offline) const {
   const SnapshotPtr candidate = store.snapshot(candidate_version);
   ANCHOR_CHECK_MSG(candidate != nullptr,
@@ -751,7 +706,7 @@ std::shared_ptr<CanaryRouter> DeploymentGate::try_promote(
   report.reason += "; canary started";
   if (!config_.audit_log.empty()) append_audit_csv(config_.audit_log, report);
   if (offline != nullptr) *offline = report;
-  return std::make_shared<CanaryRouter>(store, incumbent_traffic, incumbent,
+  return std::make_shared<CanaryRouter>(store, incumbent_service, incumbent,
                                         candidate, report, canary,
                                         config_.audit_log);
 }

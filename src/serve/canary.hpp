@@ -18,7 +18,8 @@
 //     for the same key (coordinate-level drift; near zero only when
 //     ingestion aligned the candidate to the incumbent — see
 //     SnapshotConfig::align_to_live),
-//   • latency deltas between the mirrored lookups,
+//   • latency deltas between the two sides' lookups (reporting only;
+//     no decision reads them),
 // all recorded in lock-free CanaryStats counters + obs::LogHistograms
 // (same discipline as ServeStats: recording never takes a lock).
 //
@@ -43,7 +44,6 @@
 
 #include "la/matrix.hpp"
 #include "obs/log_histogram.hpp"
-#include "serve/batcher.hpp"
 #include "serve/deployment_gate.hpp"
 #include "serve/embedding_store.hpp"
 #include "serve/lookup_service.hpp"
@@ -86,16 +86,14 @@ struct CanaryConfig {
   /// Routing is a pure function of (seed, fraction, key), so a fixed key
   /// set routes identically across runs and router instances.
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-  /// Candidate-side serving stack (the canary's own LookupService →
-  /// AsyncLookupService over the pinned candidate snapshot).
+  /// Candidate-side LookupService (the canary's own, pinned to the
+  /// evaluated candidate snapshot).
   LookupConfig candidate_lookup;
-  BatcherConfig candidate_batcher;
-  /// When set, the candidate-side stack records into these shared
+  /// When set, the candidate-side service records into these shared
   /// counters instead of private ones. The RPC server shares its own,
   /// so a Stats query keeps reporting ALL traffic while a canary runs
   /// (candidate-routed lookups would otherwise vanish from it).
   std::shared_ptr<ServeStats> candidate_service_stats = nullptr;
-  std::shared_ptr<ServeStats> candidate_batcher_stats = nullptr;
 };
 
 enum class CanaryState : std::uint8_t {
@@ -211,16 +209,16 @@ class CanaryStats {
 /// candidate, traffic, canary_config, &offline).
 ///
 /// Thread-safe: lookups may come from any number of serving threads; the
-/// decision runs exactly once under an internal mutex. Incumbent-side
-/// traffic flows through the caller's AsyncLookupService (so canary and
-/// regular traffic coalesce into the same batches); candidate-side
-/// traffic flows through the router's own async stack pinned to the
+/// decision runs exactly once under an internal mutex. Each request runs
+/// both sides back to back on the calling thread: the incumbent keys
+/// through the caller's LookupService (the one regular traffic uses), the
+/// candidate keys through the router's own LookupService pinned to the
 /// evaluated candidate snapshot.
 class CanaryRouter {
  public:
   /// Use DeploymentGate::try_promote — this constructor is public for
   /// tests that want to drive phase 2 without phase 1.
-  CanaryRouter(EmbeddingStore& store, AsyncLookupService& incumbent_traffic,
+  CanaryRouter(EmbeddingStore& store, const LookupService& incumbent_service,
                SnapshotPtr incumbent, SnapshotPtr candidate,
                GateReport offline, CanaryConfig config,
                std::filesystem::path audit_log = {});
@@ -234,9 +232,9 @@ class CanaryRouter {
   /// True when a candidate-routed key is also mirrored to the incumbent.
   bool shadows_key(std::size_t key) const;
 
-  /// Serving entry points: split by key hash, execute both sides through
-  /// their async stacks, merge back into request order, score shadowed
-  /// keys, and run the auto-decision. After a terminal state everything
+  /// Serving entry points: split by key hash, look both sides up, merge
+  /// back into request order, score shadowed keys, and run the
+  /// auto-decision. After a terminal state everything
   /// routes to whatever the store serves live (candidate after a
   /// promotion, incumbent otherwise). `out->version` reports the version
   /// that served the majority of the request's keys (ties → incumbent).
@@ -275,23 +273,21 @@ class CanaryRouter {
   std::string decision_reason() const;
 
  private:
-  struct Pending;  // one in-flight sub-lookup (fast or general path)
-
   /// Shared body of lookup_ids_into / lookup_words_into: Key is
   /// std::size_t or std::string; everything key-specific (routing hash,
-  /// fast-path eligibility, probe self-exclusion) resolves through
+  /// service entry point, probe self-exclusion) resolves through
   /// overloads in the .cpp.
   template <typename Key>
   void route_into(const std::vector<Key>& keys, LookupResult* out);
 
-  /// Scores mirror_slice row j against cand_slice row shadow_cand_rows[j]
-  /// and records one CanaryStats sample per non-OOV pair. `shadow_keys`
-  /// (row ids; empty for word traffic) enables probe self-exclusion.
+  /// Scores `inc` row mirror_first + j against `cand` row
+  /// shadow_cand_rows[j] and records one CanaryStats sample per non-OOV
+  /// pair. `shadow_keys` (row ids; empty for word traffic) enables probe
+  /// self-exclusion.
   void score_shadows(const std::vector<std::size_t>& shadow_keys,
                      const std::vector<std::uint32_t>& shadow_cand_rows,
-                     const ResultSlice& cand_slice,
-                     const ResultSlice& mirror_slice,
-                     double latency_delta_us);
+                     const LookupResult& cand, const LookupResult& inc,
+                     std::size_t mirror_first, double latency_delta_us);
   /// Top-`knn_k` probe indices of a normalized copy of `vec` against the
   /// given probe panel, excluding `self_probe` (kNoProbe = keep all).
   /// False when the vector is zero (no sample can be scored).
@@ -301,7 +297,7 @@ class CanaryRouter {
   void decide(CanaryState terminal, const std::string& reason);
 
   EmbeddingStore& store_;
-  AsyncLookupService& incumbent_traffic_;
+  const LookupService& incumbent_service_;
   SnapshotPtr incumbent_;
   SnapshotPtr candidate_;
   std::string incumbent_name_;
@@ -313,7 +309,6 @@ class CanaryRouter {
   std::uint64_t shadow_threshold_ = 0;  // second hash < threshold → shadow
 
   LookupService candidate_service_;
-  AsyncLookupService candidate_async_;
 
   /// Probe panel: row ids sampled once at start plus each version's
   /// L2-normalized probe rows (probe_rows × dim, that version's space).

@@ -63,7 +63,7 @@ struct GateReport {
   std::string reason;          // human-readable threshold explanation
 };
 
-class AsyncLookupService;
+class LookupService;
 class CanaryRouter;
 struct CanaryConfig;
 
@@ -88,7 +88,8 @@ class DeploymentGate {
   /// runs the offline EIS/k-NN gate exactly like the overload above but
   /// does NOT flip live on admit — instead it returns a running
   /// CanaryRouter that routes `canary.fraction` of lookup keys to the
-  /// candidate while mirroring a shadow sample to the incumbent; the
+  /// candidate while mirroring a shadow sample to the incumbent (whose
+  /// keys go through `incumbent_service`); the
   /// router auto-promotes (or auto-rolls-back) once the online top-k
   /// agreement estimate crosses the configured confidence bounds
   /// (phase 2). Returns nullptr when phase 1 rejects, when there is no
@@ -99,7 +100,7 @@ class DeploymentGate {
   /// mismatch. Defined in serve/canary.cpp.
   std::shared_ptr<CanaryRouter> try_promote(
       EmbeddingStore& store, const std::string& candidate_version,
-      AsyncLookupService& incumbent_traffic, const CanaryConfig& canary,
+      const LookupService& incumbent_service, const CanaryConfig& canary,
       GateReport* offline = nullptr) const;
 
   const GateConfig& config() const { return config_; }

@@ -75,9 +75,9 @@ void LookupService::lookup_batch_into(std::size_t n, const Resolve& resolve,
   }
   {
     // The gather (a memcpy for fp32, a decode for int8 and PQ) is the
-    // batch's compute kernel; when a traced batch is executing
-    // (Tracer::Scope installed by the batcher), bracket it as the
-    // dequantize span.
+    // batch's compute kernel; when a traced request is executing
+    // (Tracer::Scope installed by the daemon's connection thread),
+    // bracket it as the dequantize span.
     const obs::TraceContext& trace = obs::Tracer::current();
     const std::uint64_t t0 = trace.sampled() ? obs::Tracer::now_ns() : 0;
     for (std::size_t i = 0; i < n; ++i) {

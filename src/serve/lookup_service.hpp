@@ -61,8 +61,8 @@ bool parse_synthetic_word_id(const std::string& word, std::size_t* id);
 
 /// Result of a batched lookup: vectors are concatenated row-major in
 /// request order (batch_size × dim). The struct is reusable: the *_into
-/// entry points overwrite it in place, so a long-lived caller (the async
-/// batcher, a connection handler) keeps one result per coalesced batch and
+/// entry points overwrite it in place, so a long-lived caller (a
+/// connection handler thread, the canary router) keeps one result and
 /// never reallocates in the steady state. It also doubles as the RPC
 /// payload layout (net/wire serializes these fields verbatim).
 struct LookupResult {
@@ -94,7 +94,7 @@ class LookupService {
 
   /// In-place variants: overwrite `out`, reusing its buffers (`assign`
   /// keeps capacity), so a caller serving many batches pays no allocation
-  /// after warm-up. The batcher and the RPC connection handlers use these.
+  /// after warm-up. The RPC connection handlers and the canary use these.
   void lookup_ids_into(const std::vector<std::size_t>& ids,
                        LookupResult* out) const;
   void lookup_words_into(const std::vector<std::string>& words,

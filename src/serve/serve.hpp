@@ -1,6 +1,6 @@
 // Umbrella header for the serving subsystem: versioned snapshot storage,
-// batched thread-safe lookup, async request coalescing, instability-gated
-// promotion, and runtime stats. See each header for the design rationale.
+// batched thread-safe lookup, in-process async request coalescing,
+// instability-gated promotion, and runtime stats. See each header for the design rationale.
 // (The TCP front-end lives in net/ — include net/server.hpp or
 // net/client.hpp for the out-of-process surface.)
 #pragma once

@@ -52,14 +52,6 @@ class ServeStats {
 
   /// Records one served batch of `lookups` vectors taking `latency_us`.
   void record_batch(std::uint64_t lookups, double latency_us);
-  /// Counts a served batch WITHOUT a latency sample — for callers that
-  /// timestamp only a fraction of their traffic (the async batcher's
-  /// sampled clock): unsampled batches must not pollute the latency
-  /// histogram with fake 0 µs entries.
-  void record_batch_unsampled(std::uint64_t lookups) {
-    lookups_.fetch_add(lookups, std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-  }
   void record_oov(std::uint64_t n = 1) {
     oov_fallbacks_.fetch_add(n, std::memory_order_relaxed);
   }

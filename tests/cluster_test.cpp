@@ -831,13 +831,12 @@ TEST(Router, AggregatedStatsMergeHistogramsNotMaxPercentiles) {
 
   // Ask each backend directly for its histogram, then merge client-side —
   // the reference for what the router's kStats aggregation must produce.
-  obs::HistogramSnapshot service_merged, batcher_merged;
+  obs::HistogramSnapshot service_merged;
   std::uint64_t service_lookups = 0;
   for (const auto& backend : fx.cluster->backends) {
     net::Client direct("127.0.0.1", backend->port());
     const net::ServerStatsReport s = direct.stats();
     service_merged.merge(s.service.latency);
-    batcher_merged.merge(s.batcher.latency);
     service_lookups += s.service.lookups;
   }
 
@@ -847,15 +846,12 @@ TEST(Router, AggregatedStatsMergeHistogramsNotMaxPercentiles) {
   EXPECT_EQ(agg.service.lookups, service_lookups);
   EXPECT_EQ(agg.service.latency.count, service_merged.count);
   EXPECT_EQ(agg.service.latency.counts, service_merged.counts);
-  EXPECT_EQ(agg.batcher.latency.counts, batcher_merged.counts);
 
   // The exported scalar percentiles are quantiles OF THE MERGED buckets
   // (the 2-shard fleet view a single process would have reported, to
   // within the documented 1/32 bucket error) — not a max over shards.
   EXPECT_EQ(agg.service.p50_latency_us, service_merged.quantile(0.5));
   EXPECT_EQ(agg.service.p99_latency_us, service_merged.quantile(0.99));
-  EXPECT_EQ(agg.batcher.p50_latency_us, batcher_merged.quantile(0.5));
-  EXPECT_EQ(agg.batcher.p99_latency_us, batcher_merged.quantile(0.99));
   EXPECT_GT(agg.service.latency.count, 0u);
 }
 

@@ -1,13 +1,14 @@
 // net/ subsystem: wire codecs, frame robustness, and an in-process
 // client/server loopback exercising every RPC — real TCP sockets on
-// 127.0.0.1, with the server's accept loop and batcher running on their
-// own threads.
+// 127.0.0.1, with the server's accept loop and connection handlers
+// running on their own threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "serve/demo_store.hpp"
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace anchor::net {
 namespace {
@@ -128,8 +130,6 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   stats.live_version = "live";
   stats.service.lookups = 7;
   stats.service.qps = 123.5;
-  stats.batcher.batches = 3;
-  stats.batcher.p99_latency_us = 42.0;
   stats.encoding = "pq:4x8";
   WireWriter sw;
   encode_server_stats(stats, &sw);
@@ -139,21 +139,18 @@ TEST(Wire, GateReportAndStatsRoundTrip) {
   EXPECT_EQ(sback.live_version, "live");
   EXPECT_EQ(sback.service.lookups, 7u);
   EXPECT_EQ(sback.service.qps, 123.5);
-  EXPECT_EQ(sback.batcher.batches, 3u);
-  EXPECT_EQ(sback.batcher.p99_latency_us, 42.0);
   EXPECT_EQ(sback.encoding, "pq:4x8");
 
-  // A v3 peer's reply stops after the batcher snapshot; the trailing
-  // encoding field must decode as absent (empty), not throw.
+  // A v3 peer's reply stops after the reserved second snapshot; the
+  // trailing encoding field must decode as absent (empty), not throw.
   WireWriter v3;
   v3.str(stats.live_version);
   encode_stats_snapshot(stats.service, &v3);
-  encode_stats_snapshot(stats.batcher, &v3);
+  encode_stats_snapshot(serve::StatsSnapshot{}, &v3);
   WireReader v3r(v3.buffer());
   const ServerStatsReport old_peer = decode_server_stats(&v3r);
   v3r.expect_done();
   EXPECT_EQ(old_peer.live_version, "live");
-  EXPECT_EQ(old_peer.batcher.batches, 3u);
   EXPECT_EQ(old_peer.encoding, "");
 
   // Corrupt decision codes must not cast into the enum silently.
@@ -803,9 +800,43 @@ TEST_F(RpcTest, ConcurrentClientsCoalesceAndAgree) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // All traffic flowed through the server's batcher.
-  EXPECT_EQ(server_->async().stats().snapshot().lookups,
+  // All traffic flowed through the server's LookupService.
+  EXPECT_EQ(server_->service().stats().snapshot().lookups,
             static_cast<std::uint64_t>(kClients * kLookups));
+}
+
+TEST_F(RpcTest, LookupsAnswerWhileEveryPoolWorkerIsBusy) {
+  // TRY_PROMOTE fills util::global_pool() with gate work; reads must not
+  // queue behind it. Block every pool worker on a shared future, then
+  // read over the wire with a deadline.
+  std::promise<void> release;
+  const std::shared_future<void> gate_work = release.get_future().share();
+  std::vector<std::future<void>> blocked;
+  for (std::size_t i = 0; i < util::global_pool_threads(); ++i) {
+    blocked.push_back(
+        util::global_pool().submit([gate_work] { gate_work.wait(); }));
+  }
+  struct Release {
+    std::promise<void>& promise;
+    ~Release() { promise.set_value(); }  // on every exit path
+  } guard{release};
+
+  Client client("127.0.0.1", server_->port(), /*rpc_timeout_ms=*/2000);
+  const serve::LookupService direct(store_);
+  const std::vector<std::size_t> ids = {0, 3, 599, 600, 17};
+  const serve::LookupResult remote = client.lookup_ids(ids);
+  const serve::LookupResult local = direct.lookup_ids(ids);
+  EXPECT_EQ(remote.version, local.version);
+  EXPECT_EQ(remote.dim, local.dim);
+  EXPECT_EQ(remote.oov, local.oov);
+  EXPECT_EQ(remote.vectors, local.vectors);
+
+  const std::vector<std::string> words = {"w5", "never-seen-word"};
+  const serve::LookupResult remote_words = client.lookup_words(words);
+  const serve::LookupResult local_words = direct.lookup_words(words);
+  EXPECT_EQ(remote_words.version, local_words.version);
+  EXPECT_EQ(remote_words.oov, local_words.oov);
+  EXPECT_EQ(remote_words.vectors, local_words.vectors);
 }
 
 TEST_F(RpcTest, TryPromoteGatesOverRpc) {
@@ -835,14 +866,12 @@ TEST_F(RpcTest, StatsReflectServedTraffic) {
   const ServerStatsReport stats = client.stats();
   EXPECT_EQ(stats.live_version, "v1");
   EXPECT_EQ(stats.encoding, "fp32");  // the daemon reports real row storage
-  EXPECT_EQ(stats.batcher.lookups, 4u);
   EXPECT_GE(stats.service.lookups, 4u);
-  EXPECT_GT(stats.batcher.batches, 0u);
-  // The stats snapshot now carries the full latency histogram (one
-  // sample per batch), and the scalar percentiles agree with it.
-  EXPECT_EQ(stats.batcher.latency.count, stats.batcher.batches);
-  EXPECT_EQ(stats.batcher.p50_latency_us,
-            stats.batcher.latency.quantile(0.5));
+  // The stats snapshot carries the full latency histogram (one sample per
+  // lookup call), and the scalar percentiles agree with it.
+  EXPECT_EQ(stats.service.latency.count, stats.service.batches);
+  EXPECT_EQ(stats.service.p50_latency_us,
+            stats.service.latency.quantile(0.5));
 }
 
 TEST_F(RpcTest, HeatRpcReportsWindowedLoadTopKeysAndHeat) {
@@ -1004,7 +1033,7 @@ TEST_F(RpcTest, SampledLookupTracesEveryBackendStage) {
 
   // Client and server share one in-process Tracer, so the whole span
   // waterfall is visible here: client_send wraps backend_recv wraps the
-  // batcher stages. The server closes backend_recv after writing the
+  // dequantize span. The server closes backend_recv after writing the
   // reply, which races the client past this point — poll until the
   // waterfall stops growing.
   std::vector<obs::SpanRecord> spans;
@@ -1028,8 +1057,6 @@ TEST_F(RpcTest, SampledLookupTracesEveryBackendStage) {
   };
   EXPECT_TRUE(has(obs::TraceStage::kClientSend));
   EXPECT_TRUE(has(obs::TraceStage::kBackendRecv));
-  EXPECT_TRUE(has(obs::TraceStage::kBatchQueue));
-  EXPECT_TRUE(has(obs::TraceStage::kBatchExec));
   EXPECT_TRUE(has(obs::TraceStage::kDequantize));
   // Monotone and well-formed: sorted by start, every span closed.
   for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -1254,11 +1281,11 @@ TEST_F(RpcTest, CanaryRoutedLookupsMatchTheRightVersionPerKey) {
 
   std::vector<std::size_t> ids = {0, 1, 2, 3, 4, 5, 6, 7,
                                   100, 200, 300, 400, 599};
-  const std::uint64_t batcher_before = client.stats().batcher.lookups;
+  const std::uint64_t service_before = client.stats().service.lookups;
   const serve::LookupResult merged = client.lookup_ids(ids);
   // The Stats RPC must keep covering ALL keys while the canary routes
-  // part of them to its own candidate stack (shared counters).
-  EXPECT_GE(client.stats().batcher.lookups - batcher_before, ids.size());
+  // part of them to its own candidate service (shared counters).
+  EXPECT_GE(client.stats().service.lookups - service_before, ids.size());
   const serve::LookupResult inc = direct_inc.lookup_ids(ids);
   const serve::LookupResult cand = direct_cand.lookup_ids(ids);
   ASSERT_EQ(merged.size(), ids.size());

@@ -127,7 +127,7 @@ TEST(Windowed, UnsampledRequestsCountWithoutFakeLatency) {
   WindowedConfig cfg;
   cfg.slice_us = 1'000'000;
   WindowedStats w(cfg);
-  w.record_many_at(kT0, -1.0, 100, 2);  // record_unsampled's path
+  w.record_many_at(kT0, -1.0, 100, 2);  // no latency observation
   w.record_many_at(kT0, 50.0, 1, 0);
   const WindowedSnapshot s = w.snapshot_at(kT0);
   EXPECT_EQ(s.requests_in(10'000'000), 101u);

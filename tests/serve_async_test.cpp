@@ -90,7 +90,7 @@ TEST_F(AsyncLookupTest, PipelinedRequestsCoalesceIntoSharedBatches) {
   // Issue a window of single-key requests without draining, so the
   // combiner sees a deep queue and can fill batches.
   constexpr std::size_t kRequests = 256;
-  std::vector<AsyncLookupService::SliceFuture> futures;
+  std::vector<std::future<ResultSlice>> futures;
   futures.reserve(kRequests);
   for (std::size_t i = 0; i < kRequests; ++i) {
     futures.push_back(async.lookup_id(i % kVocab));
@@ -154,8 +154,8 @@ TEST_F(AsyncLookupTest, EmptyRequestResolvesToEmptySlice) {
 }
 
 TEST_F(AsyncLookupTest, DestructorDrainsQueuedGeneralRequests) {
-  // General (promise) path only: std::futures outlive the service and
-  // must still complete because destruction drains the dispatcher queue.
+  // std::futures outlive the service and must still complete because
+  // destruction drains the dispatcher queue.
   LookupService service(store_);
   BatcherConfig config;
   config.max_batch_size = 4096;           // nothing flushes on size...
@@ -176,23 +176,6 @@ TEST_F(AsyncLookupTest, DestructorDrainsQueuedGeneralRequests) {
   }
 }
 
-TEST_F(AsyncLookupTest, UnconsumedSliceFuturesAreConsumedByTheirDtor) {
-  LookupService service(store_);
-  AsyncLookupService async(service);
-  {
-    // Abandoned fast-path futures: their destructors must consume the
-    // ring slots (blocking until executed) so the ring never leaks slots.
-    std::vector<AsyncLookupService::SliceFuture> abandoned;
-    for (std::size_t i = 0; i < 100; ++i) {
-      abandoned.push_back(async.lookup_id(i % kVocab));
-    }
-  }
-  // The ring is quiescent again: a fresh request still works.
-  ResultSlice slice = async.lookup_id(3).get();
-  EXPECT_EQ(slice.size(), 1u);
-  EXPECT_EQ(async.pending(), 0u);
-}
-
 TEST_F(AsyncLookupTest, SlicesOutliveTheServiceSafely) {
   LookupService service(store_);
   ResultSlice kept;
@@ -200,7 +183,7 @@ TEST_F(AsyncLookupTest, SlicesOutliveTheServiceSafely) {
     AsyncLookupService async(service);
     kept = async.lookup_id(42).get();
   }
-  // The backing buffers are freelist-owned, so the slice stays valid
+  // The slice shares ownership of its batch buffer, so it stays valid
   // after the async service is gone.
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept.row(0)[0], service.lookup_ids({42}).row(0)[0]);
@@ -216,29 +199,6 @@ TEST(AsyncLookupErrors, LookupAgainstEmptyStoreRejectsTheFuture) {
   // request still completes (with the same error).
   auto fut2 = async.lookup_id(1);
   EXPECT_THROW(fut2.get(), std::exception);
-}
-
-TEST(AsyncLookupExec, InlineAndPoolExecutionAgree) {
-  EmbeddingStore store;
-  SnapshotConfig q4;
-  q4.bits = 4;
-  store.add_version("live", random_embedding(kVocab, kDim, 21), q4);
-  LookupService service(store);
-
-  for (const auto exec :
-       {BatcherConfig::Exec::kInline, BatcherConfig::Exec::kPool}) {
-    BatcherConfig config;
-    config.exec = exec;
-    AsyncLookupService async(service, config);
-    for (std::size_t id : {std::size_t{0}, std::size_t{17}, kVocab - 1}) {
-      ResultSlice slice = async.lookup_id(id).get();
-      const LookupResult direct = service.lookup_ids({id});
-      ASSERT_EQ(slice.size(), 1u);
-      for (std::size_t d = 0; d < kDim; ++d) {
-        EXPECT_EQ(slice.row(0)[d], direct.row(0)[d]);
-      }
-    }
-  }
 }
 
 // The synthetic demo store underpins the RPC example and the daemon's

@@ -113,13 +113,12 @@ TEST(CanaryRouting, DeterministicForAFixedKeySetAndFractional) {
   store.add_version("v1", base);
   store.add_version("v2", perturbed(base, 0.01, 4));
   LookupService service(store);
-  AsyncLookupService async(service);
 
   CanaryConfig config = fast_canary();
   config.fraction = 0.25;
   DeploymentGate gate(permissive_gate());
-  const auto a = gate.try_promote(store, "v2", async, config);
-  const auto b = gate.try_promote(store, "v2", async, config);
+  const auto a = gate.try_promote(store, "v2", service, config);
+  const auto b = gate.try_promote(store, "v2", service, config);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
 
@@ -184,12 +183,11 @@ TEST(Canary, GoodCandidateAutoPromotesOnOnlineAgreement) {
   store.add_version("v1", base);
   store.add_version("v2-good", perturbed(base, 0.01, 8));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate(audit.path));
 
   GateReport offline;
   const auto router =
-      gate.try_promote(store, "v2-good", async, fast_canary(), &offline);
+      gate.try_promote(store, "v2-good", service, fast_canary(), &offline);
   ASSERT_NE(router, nullptr);
   EXPECT_NE(offline.decision, GateDecision::kReject);
   EXPECT_EQ(store.live_version(), "v1");  // phase 2 owns the flip
@@ -230,10 +228,9 @@ TEST(Canary, CorruptedCandidateAutoRollsBackOnOnlineAgreement) {
   // the online agreement (chance-level top-k overlap) must not.
   store.add_version("v3-bad", random_embedding(500, 24, 1234));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate(audit.path));
 
-  const auto router = gate.try_promote(store, "v3-bad", async, fast_canary());
+  const auto router = gate.try_promote(store, "v3-bad", service, fast_canary());
   ASSERT_NE(router, nullptr);
   pump(*router, 500, 22);
   EXPECT_EQ(router->state(), CanaryState::kRolledBack);
@@ -262,7 +259,6 @@ TEST(Canary, OfflineRejectNeverTakesTraffic) {
   store.add_version("v1", base);
   store.add_version("v3-bad", random_embedding(300, 16, 999));
   LookupService service(store);
-  AsyncLookupService async(service);
   GateConfig strict;  // default thresholds reject an unrelated space
   strict.max_rows = 256;
   strict.knn_queries = 32;
@@ -271,7 +267,7 @@ TEST(Canary, OfflineRejectNeverTakesTraffic) {
 
   GateReport offline;
   const auto router =
-      gate.try_promote(store, "v3-bad", async, fast_canary(), &offline);
+      gate.try_promote(store, "v3-bad", service, fast_canary(), &offline);
   EXPECT_EQ(router, nullptr);
   EXPECT_EQ(offline.decision, GateDecision::kReject);
   EXPECT_EQ(store.live_version(), "v1");
@@ -284,14 +280,13 @@ TEST(Canary, AlreadyLiveCandidateShortCircuits) {
   EmbeddingStore store;
   store.add_version("v1", random_embedding(100, 8, 1));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate());
   GateReport offline;
-  EXPECT_EQ(gate.try_promote(store, "v1", async, fast_canary(), &offline),
+  EXPECT_EQ(gate.try_promote(store, "v1", service, fast_canary(), &offline),
             nullptr);
   EXPECT_EQ(offline.decision, GateDecision::kAdmit);
   EXPECT_NE(offline.reason.find("already live"), std::string::npos);
-  EXPECT_THROW(gate.try_promote(store, "no-such", async, fast_canary()),
+  EXPECT_THROW(gate.try_promote(store, "no-such", service, fast_canary()),
                std::exception);
 }
 
@@ -302,12 +297,11 @@ TEST(Canary, AbortKeepsTheIncumbentAndStopsRouting) {
   store.add_version("v1", base);
   store.add_version("v2", perturbed(base, 0.01, 14));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate(audit.path));
 
   CanaryConfig config = fast_canary();
   config.min_shadows = 100000;  // no auto-decision during this test
-  const auto router = gate.try_promote(store, "v2", async, config);
+  const auto router = gate.try_promote(store, "v2", service, config);
   ASSERT_NE(router, nullptr);
   pump(*router, 400, 23, /*max_iters=*/20);
   EXPECT_TRUE(router->active());
@@ -374,12 +368,11 @@ TEST(Canary, WorstKeysSurfaceInStatusAndAuditTrail) {
   store.add_version("v1", base);
   store.add_version("v2", perturbed(base, 0.05, 44));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate(audit.path));
 
   CanaryConfig config = fast_canary();
   config.min_shadows = 100000;  // keep it running; we abort below
-  const auto router = gate.try_promote(store, "v2", async, config);
+  const auto router = gate.try_promote(store, "v2", service, config);
   ASSERT_NE(router, nullptr);
   pump(*router, 400, 45, /*max_iters=*/60);
   ASSERT_GT(router->stats().shadows, 0u);
@@ -404,12 +397,11 @@ TEST(Canary, DrainAbortFinishesInFlightShadowsAndReportsScoredStatus) {
   store.add_version("v1", base);
   store.add_version("v2", perturbed(base, 0.01, 54));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate(audit.path));
 
   CanaryConfig config = fast_canary();
   config.min_shadows = 100000;  // the operator decides, not the bounds
-  const auto router = gate.try_promote(store, "v2", async, config);
+  const auto router = gate.try_promote(store, "v2", service, config);
   ASSERT_NE(router, nullptr);
   pump(*router, 400, 55, /*max_iters=*/40);
   const std::uint64_t shadows_before = router->stats().shadows;
@@ -446,12 +438,11 @@ TEST(Canary, DrainAbortWaitsForConcurrentRoutedLookups) {
   store.add_version("v1", base);
   store.add_version("v2", perturbed(base, 0.01, 64));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate());
 
   CanaryConfig config = fast_canary();
   config.min_shadows = 100000;
-  const auto router = gate.try_promote(store, "v2", async, config);
+  const auto router = gate.try_promote(store, "v2", service, config);
   ASSERT_NE(router, nullptr);
 
   std::atomic<bool> stop{false};
@@ -481,12 +472,11 @@ TEST(Canary, WordTrafficShadowsAndMergesInRequestOrder) {
   store.add_version("v1", base);
   store.add_version("v2", perturbed(base, 0.01, 18));
   LookupService service(store);
-  AsyncLookupService async(service);
   DeploymentGate gate(permissive_gate());
 
   CanaryConfig config = fast_canary();
   config.min_shadows = 100000;  // keep it running for the whole test
-  const auto router = gate.try_promote(store, "v2", async, config);
+  const auto router = gate.try_promote(store, "v2", service, config);
   ASSERT_NE(router, nullptr);
 
   const LookupService direct(store);
@@ -532,10 +522,9 @@ TEST(CanaryAlignment, RotationRollsBackUnalignedButPromotesAligned) {
     store.add_version("v2-rot", spun);
     EXPECT_FALSE(store.snapshot("v2-rot")->aligned_to_incumbent());
     LookupService service(store);
-    AsyncLookupService async(service);
     DeploymentGate gate(permissive_gate());
     const auto router =
-        gate.try_promote(store, "v2-rot", async, fast_canary());
+        gate.try_promote(store, "v2-rot", service, fast_canary());
     ASSERT_NE(router, nullptr);
     pump(*router, 400, 24);
     EXPECT_EQ(router->state(), CanaryState::kRolledBack);
@@ -556,10 +545,9 @@ TEST(CanaryAlignment, RotationRollsBackUnalignedButPromotesAligned) {
     store.add_version("v2-rot", spun, aligned);
     EXPECT_TRUE(store.snapshot("v2-rot")->aligned_to_incumbent());
     LookupService service(store);
-    AsyncLookupService async(service);
     DeploymentGate gate(permissive_gate());
     const auto router =
-        gate.try_promote(store, "v2-rot", async, fast_canary());
+        gate.try_promote(store, "v2-rot", service, fast_canary());
     ASSERT_NE(router, nullptr);
     pump(*router, 400, 25);
     EXPECT_EQ(router->state(), CanaryState::kPromoted);

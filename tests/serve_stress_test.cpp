@@ -1,7 +1,7 @@
 // Deterministic seeded stress for AsyncLookupService: N producer threads
-// issuing randomized mixes of single-key fast-path futures, multi-key id
-// requests, and word requests, with injected slow consumers that sit on
-// futures while the ring keeps moving. Every future must resolve and
+// issuing randomized mixes of single-key futures, multi-key id requests,
+// and word requests, with injected slow consumers that sit on futures
+// while the dispatcher keeps moving. Every future must resolve and
 // every result must be bit-identical to a direct LookupService call —
 // the coalescing layer is allowed to batch however it likes but never to
 // change an answer.
@@ -37,7 +37,7 @@ struct InFlight {
   std::vector<std::size_t> ids;
   std::string word;
   std::vector<std::string> words;
-  AsyncLookupService::SliceFuture fast;
+  std::future<ResultSlice> fast;
   std::future<ResultSlice> general;
 };
 
@@ -145,8 +145,8 @@ class StressCase {
             ++issued[static_cast<std::size_t>(t)];
 
             // Injected slow consumer: occasionally sit on the whole
-            // window while other producers keep the ring and dispatcher
-            // busy — slot reclamation must not depend on us consuming.
+            // window while other producers keep the dispatcher busy —
+            // progress must not depend on us consuming.
             if (rng.bernoulli(0.02)) {
               std::this_thread::sleep_for(std::chrono::microseconds(
                   static_cast<int>(100 + rng.index(400))));
@@ -158,8 +158,8 @@ class StressCase {
       }
       for (auto& p : producers) p.join();
       for (const auto n : issued) issued_total += n;
-      // async destructor: drains the general queue; every fast-path
-      // future was consumed above.
+      // async destructor: drains the queue; every future was consumed
+      // above.
     }
     EXPECT_EQ(mismatches.load(), 0u);
     // Every single future resolved (none lost, none stuck).
@@ -182,8 +182,8 @@ TEST(AsyncStress, MixedTrafficInt8ResolvesBitIdentical) {
 }
 
 TEST(AsyncStress, TinyRingForcesBackpressureAndStillResolvesAll) {
-  // A ring sized to the minimum (2 × max_batch) with 6 producers: full
-  // slots make producers help combine; everything must still resolve.
+  // Small batches with 6 producers keep the queue deeper than one
+  // batch; everything must still resolve.
   EmbeddingStore store;
   SnapshotConfig snap;
   snap.bits = 8;
@@ -192,7 +192,6 @@ TEST(AsyncStress, TinyRingForcesBackpressureAndStillResolvesAll) {
   const LookupService direct(store);
   BatcherConfig config;
   config.max_batch_size = 8;
-  config.ring_capacity = 2;  // rounded up to 2 × max_batch internally
   AsyncLookupService async(service, config);
 
   std::atomic<std::uint64_t> mismatches{0};
@@ -200,8 +199,7 @@ TEST(AsyncStress, TinyRingForcesBackpressureAndStillResolvesAll) {
   for (int t = 0; t < 6; ++t) {
     producers.emplace_back([&, t] {
       Rng rng(404 + static_cast<std::uint64_t>(t));
-      std::deque<std::pair<std::size_t, AsyncLookupService::SliceFuture>>
-          window;
+      std::deque<std::pair<std::size_t, std::future<ResultSlice>>> window;
       for (int i = 0; i < 800; ++i) {
         const std::size_t id = rng.index(kVocab);
         window.emplace_back(id, async.lookup_id(id));

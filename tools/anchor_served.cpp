@@ -1,6 +1,6 @@
 // anchor_served — the embedding-serving daemon: loads one or more
-// embedding versions into an EmbeddingStore, wraps them in the
-// LookupService → AsyncLookupService batching stack, and serves the
+// embedding versions into an EmbeddingStore, serves them through a
+// LookupService on each connection's own thread, and speaks the
 // binary RPC protocol (src/net/PROTOCOL.md) on a TCP loopback port.
 //
 // Examples:
@@ -147,11 +147,6 @@ int main(int argc, char** argv) {
                     "512");
   parser.add_option("heat-buckets",
                     "per-id-range heat-map bucket fanout", "256");
-  parser.add_option("max-batch",
-                    "batcher: flush when this many keys are waiting", "64");
-  parser.add_option("max-wait-us",
-                    "batcher: flush when the oldest request is this old",
-                    "100");
   parser.add_option("eis-warn", "gate: EIS warn threshold", "0.05");
   parser.add_option("eis-reject", "gate: EIS reject threshold", "0.15");
   parser.add_option("knn-warn", "gate: 1−kNN warn threshold", "0.30");
@@ -260,10 +255,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(parser.get_int("hot-keys"));
     config.heat_buckets =
         static_cast<std::size_t>(parser.get_int("heat-buckets"));
-    config.batcher.max_batch_size =
-        static_cast<std::size_t>(parser.get_int("max-batch"));
-    config.batcher.max_wait_us =
-        static_cast<std::uint32_t>(parser.get_int("max-wait-us"));
     config.gate.eis_warn = parser.get_double("eis-warn");
     config.gate.eis_reject = parser.get_double("eis-reject");
     config.gate.knn_warn = parser.get_double("knn-warn");
